@@ -6,7 +6,7 @@ A degree-delta hypersurface in P^n has at most
 
 rational points.  There are (2^10 - 1) nonzero cubic forms in three
 variables over F_2, each its own projective curve, so the claim can be
-checked by brute force.  sweep_rows returns one CSV-shaped row per
+checked exhaustively.  sweep_rows returns one CSV-shaped row per
 form together with the list of violations (empty, or the run fails).
 The same runner handles the construction, identity, and margin
 families; this script summarizes the cubic sweep and prints the tight
@@ -15,7 +15,7 @@ cases.
 
 from collections import Counter
 
-from fqpoints.cli import sweep_rows
+from fqpoints.sweeps import sweep_rows
 
 
 def main():

@@ -21,7 +21,6 @@ from .bounds import (
     bound_projective,
     bound_serre,
     csv_row,
-    restriction_margin,
     tubular_report,
 )
 from .constructions import (
@@ -32,16 +31,13 @@ from .constructions import (
 )
 from .errors import InvalidSpecError, ToolkitError
 from .gf import field_from_order
-from .groebner import hilbert_of_ideal
 from .incidence import census_linear_component, census_through_point
-from .mpoly import enumerate_forms, monomials_of_degree
-from .projgeom import enumerate_points, pi, point_from_text
+from .projgeom import point_from_text
+from .sweeps import SWEEP_FAMILIES, sweep_rows
 from .variety import count_points, load_variety_file
 
 BOUND_KINDS = ("affine", "projective", "section", "equidimensional",
                "serre", "linear_arrangement", "conjectural", "tubular")
-SWEEP_FAMILIES = ("all_hypersurfaces", "constructions", "identity_grid",
-                  "lemma_grid")
 
 
 def _emit(text: str, out: str) -> None:
@@ -197,126 +193,6 @@ def cmd_census(args) -> int:
         text += "".join(line + "\n" for line in census.trace())
     _emit(text, args.out)
     return 0 if census.ok else 1
-
-
-def _hypersurface_rows(n: int, degree: int, qs, budget: int) -> list:
-    rows = []
-    for q in qs:
-        field = field_from_order(q)
-        up_to_scalar = q > 2
-        m = len(monomials_of_degree(n + 1, degree))
-        nforms = (q ** m - 1) // (q - 1) if up_to_scalar else q ** m - 1
-        points = list(enumerate_points(n, field))
-        if nforms * len(points) > budget:
-            raise InvalidSpecError(
-                f"sweep would evaluate {nforms}x{len(points)} pairs, "
-                f"over the {budget} budget")
-        forms = enumerate_forms(field, n + 1, degree, up_to_scalar=up_to_scalar)
-        cap = bound_serre(n, degree, q)
-        for f in forms:
-            c = sum(1 for P in points if not f.evaluate(list(P.coords)))
-            rows.append({"kind": "serre", "n": n, "q": q, "dims": str(n - 1),
-                         "degs": str(degree), "bound": cap, "count": c,
-                         "tight": c == cap, "hypotheses": "hypersurface"})
-    return rows
-
-
-def _construction_rows(qs) -> list:
-    rows = []
-    for q in qs:
-        field = field_from_order(q)
-        made = [
-            build_partial_spread(3, 1, q ** 2 + 1, field),
-            build_partial_spread(3, 1, 2, field),
-            build_flower(4, 2, 3, field),
-            build_flower(3, 2, 2, field),
-        ]
-        if q == 2:
-            made.append(build_partial_spread(5, 2, 3, field))
-        for spec in made:
-            members = getattr(spec, "petals", getattr(spec, "members", ()))
-            r = len(members)
-            cap = bound_equidimensional(spec.n, q, spec.d, r).total
-            c = exact_linear_count(spec, q)
-            rows.append({
-                "kind": "equidimensional", "n": spec.n, "q": q,
-                "dims": ";".join([str(spec.d)] * r),
-                "degs": ";".join(["1"] * r),
-                "bound": cap, "count": c, "tight": c == cap,
-                "hypotheses": "irredundant=verified"})
-        for dims, n in (([2, 1], 3), ([2, 2], 4), ([1, 1], 3)):
-            arr = build_extremal_arrangement(dims, n, field)
-            cap = bound_linear_arrangement(dims, n, q).total
-            rows.append({
-                "kind": "linear_arrangement", "n": n, "q": q,
-                "dims": ";".join(str(d) for d in arr.dims),
-                "degs": ";".join(["1"] * len(dims)),
-                "bound": cap, "count": arr.count, "tight": arr.count == cap,
-                "hypotheses": "irredundant=verified"})
-    return rows
-
-
-def _identity_rows(qs, max_index: int) -> list:
-    rows = []
-    for q in qs:
-        for k in range(0, max_index + 1):
-            lhs = pi(k, q)
-            rhs = q * pi(k - 1, q) + 1
-            rows.append({"kind": "pi_recursion", "n": k, "q": q, "dims": "",
-                         "degs": "", "bound": lhs, "count": rhs,
-                         "tight": lhs == rhs, "hypotheses": ""})
-        for k in range(0, max_index + 1):
-            for el in range(0, k + 1):
-                lhs = pi(k, q) - pi(el, q)
-                rhs = q * (pi(k - 1, q) - pi(el - 1, q))
-                rows.append({"kind": "pi_difference", "n": k, "q": q,
-                             "dims": f"{k};{el}", "degs": "", "bound": lhs,
-                             "count": rhs, "tight": lhs == rhs,
-                             "hypotheses": ""})
-    return rows
-
-
-def _lemma_rows(qs, max_index: int) -> list:
-    rows = []
-    n_top = min(max_index, 8)
-    for q in qs:
-        for d in range(1, 7):
-            for n in range(d + 1, n_top + 1):
-                for delta in range(2, 11):
-                    m = restriction_margin(n, q, d, delta)
-                    rows.append({
-                        "kind": "restriction_margin", "n": n, "q": q,
-                        "dims": str(d), "degs": str(delta),
-                        "bound": m.margin, "count": "",
-                        "tight": m.margin == 0,
-                        "hypotheses": "dim>=1;degree>=2"})
-                m = restriction_margin(n, q, d, 2)
-                rows.append({
-                    "kind": "affine_margin", "n": n, "q": q,
-                    "dims": str(d), "degs": "", "bound": m.affine_margin,
-                    "count": "", "tight": m.affine_margin == 0,
-                    "hypotheses": ""})
-    return rows
-
-
-def sweep_rows(family: str, n=None, degree=None, qs=(2,), max_index=12,
-               budget=10 ** 7):
-    """Rows for one sweep family plus the violation subset (both lists)."""
-    if family == "all_hypersurfaces":
-        if n is None or degree is None:
-            raise InvalidSpecError("all_hypersurfaces needs --n and --degree")
-        rows = _hypersurface_rows(n, degree, qs, budget)
-        bad = [r for r in rows if r["count"] > r["bound"]]
-    elif family == "constructions":
-        rows = _construction_rows(qs)
-        bad = [r for r in rows if not r["tight"] or r["count"] > r["bound"]]
-    elif family == "identity_grid":
-        rows = _identity_rows(qs, max_index)
-        bad = [r for r in rows if not r["tight"]]
-    else:
-        rows = _lemma_rows(qs, max_index)
-        bad = [r for r in rows if r["bound"] < 0]
-    return rows, bad
 
 
 def cmd_sweep(args) -> int:

@@ -42,6 +42,7 @@ CASES = [
     ("error_n0", _hyper(0, 2, 2)),
     ("error_degree0", _hyper(2, 0, 3)),
     ("error_q6", _hyper(2, 2, 6)),
+    ("error_empty_qs", _hyper(1, 1, "")),
 ]
 
 

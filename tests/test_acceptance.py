@@ -15,7 +15,7 @@ from fqpoints.bounds import (
     bound_projective,
     restriction_margin,
 )
-from fqpoints.cli import sweep_rows
+from fqpoints.sweeps import sweep_rows
 from fqpoints.constructions import (
     build_extremal_arrangement,
     build_flower,

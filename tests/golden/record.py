@@ -4,7 +4,9 @@
 
 Each case is one `fqpoints` argv, run in-process through `fqpoints.cli.main`.
 Its stdout goes to `<name>.out`; its argv, exit code and stderr go to
-`index.json`. The transcripts pin the output of the commit they were
+`index.json`. An argv entry that starts with `inputs/` names a variety
+document under `tests/golden/inputs/` and is resolved against this
+directory, so the transcripts do not depend on the working directory. The transcripts pin the output of the commit they were
 recorded at, so a change that alters one byte of them fails the test.
 
 Re-record only when an output is meant to change, and give the reason in
@@ -28,6 +30,23 @@ def _hyper(n, d, q, fmt="csv", *extra):
                     "--format", fmt, *extra]
 
 
+BOUND_ARGS = [
+    ("affine", ["--components", "1:3,1:1", "--n", "3", "--q", "2"]),
+    ("projective", ["--components", "1:3,1:1", "--n", "3", "--q", "2"]),
+    ("section", ["--components", "2:2,1:1", "--n", "3", "--q", "3"]),
+    ("equidimensional", ["--n", "4", "--q", "2", "--d", "2", "--delta", "3"]),
+    ("serre", ["--n", "3", "--q", "2", "--delta", "3"]),
+    ("linear_arrangement", ["--dims", "2,1", "--n", "3", "--q", "2"]),
+    ("conjectural", ["--components", "2:2,1:1", "--n", "4", "--q", "4"]),
+    ("tubular", ["--n", "4", "--q", "3", "--d", "2", "--delta", "2"]),
+]
+
+CONSTRUCT_ARGS = [
+    ("spread", ["--n", "3", "--d", "1", "--r", "5", "--q", "2"]),
+    ("flower", ["--n", "4", "--d", "2", "--r", "3", "--q", "4"]),
+    ("arrangement", ["--dims", "2,1", "--n", "3", "--q", "3"]),
+]
+
 CASES = [
     *((f"hyper_{n}_{d}_{q}", _hyper(n, d, q))
       for n, d, q in ((2, 3, 2), (3, 2, 2), (2, 2, 3), (1, 3, 4), (1, 2, 8),
@@ -43,7 +62,32 @@ CASES = [
     ("error_degree0", _hyper(2, 0, 3)),
     ("error_q6", _hyper(2, 2, 6)),
     ("error_empty_qs", _hyper(1, 1, "")),
+    ("count_twisted_cubic", ["count", "--variety", "inputs/twisted_cubic.var"]),
+    ("count_gf4", ["count", "--variety", "inputs/gf4_conic.var"]),
+    *((f"hilbert_{name}", ["hilbert", "--variety", f"inputs/{name}.var"])
+      for name in ("twisted_cubic", "gf4_conic", "empty", "quadric_p28",
+                   "fifth_powers", "quadric_p29", "huge_power")),
+    ("hilbert_component", ["hilbert", "--variety", "inputs/twisted_cubic.var",
+                           "--component", "curve"]),
+    *((f"bound_{kind}_{fmt}", ["bound", "--kind", kind, *args,
+                               "--format", fmt])
+      for kind, args in BOUND_ARGS for fmt in ("json", "csv")),
+    ("bound_error_q6", ["bound", "--kind", "projective", "--components", "1:3",
+                        "--n", "3", "--q", "6"]),
+    *((f"construct_{shape}_{emit}", ["construct", shape, *args,
+                                     "--emit", emit])
+      for shape, args in CONSTRUCT_ARGS for emit in ("var", "json")),
+    ("census_trace", ["census", "--variety", "inputs/twisted_cubic.var",
+                      "--point", "1:0:0:0", "--trace"]),
+    ("census_linear_component", ["census", "--variety", "inputs/two_lines.var",
+                                 "--point", "0:0:1:0",
+                                 "--linear-component", "L1"]),
 ]
+
+
+def resolve(argv):
+    """argv with each `inputs/...` entry made absolute under HERE."""
+    return [str(HERE / a) if a.startswith("inputs/") else a for a in argv]
 
 
 def run(argv):
@@ -52,7 +96,7 @@ def run(argv):
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+        code = main(resolve(argv))
     return code, out.getvalue(), err.getvalue()
 
 

@@ -1,25 +1,25 @@
 """Golden CLI transcripts: stdout bytes, exit code and stderr of each case
 in tests/golden/index.json must match what tests/golden/record.py wrote."""
 
-import contextlib
-import io
+import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
-from fqpoints.cli import main
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 INDEX = json.loads((GOLDEN / "index.json").read_text())
+
+_spec = importlib.util.spec_from_file_location("golden_record",
+                                               GOLDEN / "record.py")
+record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(record)
 
 
 @pytest.mark.parametrize("name", sorted(INDEX))
 def test_transcript_is_unchanged(name):
     case = INDEX[name]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(case["argv"]))
+    code, out, err = record.run(case["argv"])
     assert code == case["exit"]
-    assert err.getvalue() == case["stderr"]
-    assert out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == case["stderr"]
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()

@@ -20,8 +20,7 @@ matching bound.
 from fqpoints.bounds import (
     bound_equidimensional, bound_linear_arrangement, bound_projective)
 from fqpoints.constructions import (
-    build_extremal_arrangement, build_flower, build_partial_spread,
-    exact_linear_count, to_variety_doc)
+    build_extremal_arrangement, build_flower, build_partial_spread)
 from fqpoints.errors import InfeasibleError
 from fqpoints.gf import make_field
 from fqpoints.projgeom import pi
@@ -59,7 +58,7 @@ def main():
         flower = build_flower(4, 2, 3, field)
         flower.validate()
         n, q = 4, field.q
-        count = exact_linear_count(flower, q)
+        count = flower.point_count()
         bound = bound_equidimensional(n, q, 2, 3).total
         print(f"flower of 3 planes in P^4(F_{q}): {count} points, "
               f"bound {bound}, core dim {flower.core_dim}")
@@ -76,7 +75,7 @@ def main():
 
     # the same arrangement is loadable as a variety document and the
     # point count survives the round trip
-    X = load_variety(to_variety_doc(arr))
+    X = load_variety(arr.to_variety_doc())
     assert count_points(X).value == arr.count
     print("variety-document round trip recounts the same total. ok")
 
@@ -91,7 +90,7 @@ def main():
 
     # print one document in full so the format is visible
     print()
-    print(to_variety_doc(spread), end="")
+    print(spread.to_variety_doc(), end="")
 
 
 if __name__ == "__main__":

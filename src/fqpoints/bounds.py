@@ -17,7 +17,7 @@ from .errors import (
     DimensionTooLargeError,
     TooFewComponentsError,
 )
-from .gf import is_prime
+from .gf import prime_power
 from .projgeom import pi
 
 
@@ -64,17 +64,7 @@ class BoundReport:
 def _check_q(q: int):
     if not isinstance(q, int) or q < 2:
         raise BadSequenceError(f"q must be an integer >= 2, got {q}")
-    m = q
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            break
-        p += 1
-    else:
-        p = m
-    while m % p == 0:
-        m //= p
-    if m != 1 or not is_prime(p):
+    if prime_power(q) is None:
         raise BadSequenceError(f"q must be a prime power, got {q}")
 
 

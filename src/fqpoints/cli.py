@@ -27,7 +27,6 @@ from .constructions import (
     build_extremal_arrangement,
     build_flower,
     build_partial_spread,
-    exact_linear_count,
 )
 from .errors import InvalidSpecError, ToolkitError
 from .gf import field_from_order
@@ -160,22 +159,20 @@ def cmd_construct(args) -> int:
     if args.shape == "spread":
         spec = build_partial_spread(args.n, _need(args.d, "--d"),
                                     _need(args.r, "--r"), field)
-        count = exact_linear_count(spec, args.q)
     elif args.shape == "flower":
         spec = build_flower(args.n, _need(args.d, "--d"),
                             _need(args.r, "--r"), field)
-        count = exact_linear_count(spec, args.q)
     else:
         if not args.dims:
             raise InvalidSpecError("arrangement needs --dims")
         spec = build_extremal_arrangement(
             _parse_ints(args.dims, "dims"), args.n, field)
-        count = spec.count
     if args.emit == "json":
         _emit(_json_text(spec.to_json_dict()), args.out)
     else:
         doc = spec.to_variety_doc()
-        header = f"# {args.shape} n={args.n} q={args.q}, {count} points\n"
+        header = (f"# {args.shape} n={args.n} q={args.q}, "
+                  f"{spec.point_count()} points\n")
         _emit(header + doc, args.out)
     return 0
 

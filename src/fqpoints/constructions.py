@@ -9,7 +9,7 @@ and, at desk scale, by enumerating the union.
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .bounds import bound_linear_arrangement
 from .errors import InfeasibleError, InvalidSpecError
@@ -62,18 +62,16 @@ def _modulus_text(field: FieldSpec) -> str:
     return "+".join(parts)
 
 
-def _doc_header(field: FieldSpec, n: int) -> list:
-    line = f"field p={field.p} k={field.k}"
+def _variety_doc(field: FieldSpec, n: int, members) -> str:
+    """A loadable variety document with one linear component per member."""
+    head = f"field p={field.p} k={field.k}"
     if field.k > 1:
-        line += f" modulus={_modulus_text(field)}"
-    return [line, f"space n={n}"]
-
-
-def _member_block(name: str, sub: LinearSubspace, dim: int) -> list:
-    lines = [f"component name={name} dim={dim} deg=1 irreducible=yes"]
-    for f in sub.form_polynomials():
-        lines.append(f"poly {f}")
-    return lines
+        head += f" modulus={_modulus_text(field)}"
+    lines = [head, f"space n={n}"]
+    for i, m in enumerate(members, start=1):
+        lines.append(f"component name=L{i} dim={m.dim} deg=1 irreducible=yes")
+        lines.extend(f"poly {f}" for f in m.form_polynomials())
+    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -117,10 +115,7 @@ class SpreadSpec:
         }
 
     def to_variety_doc(self) -> str:
-        lines = _doc_header(self.field, self.n)
-        for i, m in enumerate(self.members, start=1):
-            lines.extend(_member_block(f"L{i}", m, self.d))
-        return "\n".join(lines) + "\n"
+        return _variety_doc(self.field, self.n, self.members)
 
 
 @dataclass(frozen=True)
@@ -177,10 +172,7 @@ class FlowerSpec:
         }
 
     def to_variety_doc(self) -> str:
-        lines = _doc_header(self.field, self.n)
-        for i, p in enumerate(self.petals, start=1):
-            lines.extend(_member_block(f"L{i}", p, self.d))
-        return "\n".join(lines) + "\n"
+        return _variety_doc(self.field, self.n, self.petals)
 
 
 @dataclass(frozen=True)
@@ -234,6 +226,9 @@ class ArrangementSpec:
                 raise InvalidSpecError(
                     "later members overlap outside the first")
 
+    def point_count(self) -> int:
+        return self.count
+
     def to_json_dict(self) -> dict:
         return {
             "kind": "arrangement", "n": self.n, "dims": list(self.dims),
@@ -243,10 +238,7 @@ class ArrangementSpec:
         }
 
     def to_variety_doc(self) -> str:
-        lines = _doc_header(self.field, self.n)
-        for i, m in enumerate(self.members, start=1):
-            lines.extend(_member_block(f"L{i}", m, m.dim))
-        return "\n".join(lines) + "\n"
+        return _variety_doc(self.field, self.n, self.members)
 
 
 def _mul_matrix(field: FieldSpec, modulus, lam, m: int) -> list:
@@ -453,27 +445,3 @@ def build_extremal_arrangement(dims: Sequence[int], n: int, field: FieldSpec,
     spec = ArrangementSpec(n=n, dims=ds, members=members, count=got)
     spec.validate()
     return spec
-
-
-def exact_linear_count(spec, q: int) -> int:
-    """Point count of a spread or flower: delta*(pi_d - pi_c) + pi_c with
-    c = 2d - n. Guaranteed equal to enumeration once the spec validates."""
-    if isinstance(spec, SpreadSpec):
-        spec.validate()
-        delta = len(spec.members)
-    elif isinstance(spec, FlowerSpec):
-        spec.validate()
-        delta = len(spec.petals)
-    else:
-        raise InvalidSpecError(f"unsupported spec {type(spec).__name__}")
-    if q != spec.q:
-        raise InvalidSpecError(f"spec lives over q={spec.q}, asked about q={q}")
-    c = 2 * spec.d - spec.n
-    return delta * (pi(spec.d, q) - pi(c, q)) + pi(c, q)
-
-
-def to_variety_doc(spec) -> str:
-    """Serialize any construction to the loadable variety format."""
-    if not isinstance(spec, (SpreadSpec, FlowerSpec, ArrangementSpec)):
-        raise InvalidSpecError(f"unsupported spec {type(spec).__name__}")
-    return spec.to_variety_doc()

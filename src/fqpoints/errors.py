@@ -45,10 +45,6 @@ class NotHomogeneousError(ToolkitError):
     pass
 
 
-class NotAffineError(ToolkitError):
-    """Reserved for chart misuse; current chart ops accept all legal inputs."""
-
-
 # --- shared resource guard ---
 
 class BudgetExceededError(ToolkitError):

@@ -87,7 +87,9 @@ class FieldSpec:
         return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
 
     def elements(self) -> Iterator["FieldElement"]:
-        return enumerate_field(self)
+        """All q elements, lexicographic on coefficient tuples, zero first."""
+        for coeffs in itertools.product(range(self.p), repeat=self.k):
+            yield FieldElement(self, coeffs)
 
     def __str__(self):
         return f"GF({self.q})"
@@ -334,10 +336,11 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, k, tuple(coeffs), p ** k)
 
 
-def field_from_order(q: int, modulus=None) -> FieldSpec:
-    """GF(q) from the order alone; factors q as a prime power."""
+def prime_power(q: int) -> tuple | None:
+    """(p, k) with q = p^k and p prime, or None when q is not a prime power.
+    The smallest factor of q is prime, so no primality test is needed."""
     if q < 2:
-        raise NotPrimeError(f"field order must be a prime power >= 2, got {q}")
+        return None
     p = 2
     while p * p <= q:
         if q % p == 0:
@@ -350,27 +353,14 @@ def field_from_order(q: int, modulus=None) -> FieldSpec:
     while m % p == 0:
         m //= p
         k += 1
-    if m != 1:
+    return (p, k) if m == 1 else None
+
+
+def field_from_order(q: int, modulus=None) -> FieldSpec:
+    """GF(q) from the order alone; factors q as a prime power."""
+    if q < 2:
+        raise NotPrimeError(f"field order must be a prime power >= 2, got {q}")
+    pk = prime_power(q)
+    if pk is None:
         raise NotPrimeError(f"{q} is not a prime power")
-    return make_field(p, k, modulus)
-
-
-def field_arith(op: str, a: FieldElement, b) -> FieldElement:
-    """String-dispatched arithmetic; `pow` takes an int exponent for b."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "pow":
-        return a ** b
-    raise ValueError(f"unknown field op {op!r}")
-
-
-def enumerate_field(F: FieldSpec) -> Iterator[FieldElement]:
-    """All q elements, lexicographic on coefficient tuples, zero first."""
-    for coeffs in itertools.product(range(F.p), repeat=F.k):
-        yield FieldElement(F, coeffs)
+    return make_field(*pk, modulus)

@@ -1,14 +1,18 @@
 """Groebner bases and Hilbert functions for homogeneous ideals.
 
 Buchberger's algorithm with the product and chain criteria produces a
-reduced monic basis. Dimension and degree come from the Hilbert function:
-the initial ideal's standard monomials are counted through an exact series
-numerator recursion, the tail is detected by vanishing finite differences,
-and the Hilbert polynomial is interpolated in exact rationals.
+reduced monic basis. Dimension and degree come from the Hilbert series
+N(z)/(1-z)^nvars of the initial ideal, with N from an exact recursion on
+monomial ideals (Bayer and Stillman 1992): the Hilbert polynomial is
+sum_j N_j * C(t - j + nvars - 1, nvars - 1), in exact rationals.
+`HilbertData.values` holds h(0..T), T = max(T0, deg N), where T0 = (largest
+leading-monomial degree) + max(nvars, 4) + nvars. An ideal whose T0 or
+leading-monomial lcm degree exceeds 1000 raises BudgetExceededError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +31,7 @@ from .mpoly import (
     mono_mul,
 )
 
-_T_CAP = 60  # hard ceiling on Hilbert function evaluation range
+_T_CAP = 1000  # largest t at which hilbert() evaluates the Hilbert function
 
 
 @dataclass(frozen=True)
@@ -185,10 +189,6 @@ def _supports_disjoint(gens: list) -> bool:
     return True
 
 
-def _poly_shift(coeffs: list, by: int) -> list:
-    return [0] * by + coeffs
-
-
 def _poly_add(a: list, b: list) -> list:
     out = [0] * max(len(a), len(b))
     for i, c in enumerate(a):
@@ -230,27 +230,27 @@ def hilbert_numerator(gens: Sequence[tuple]) -> list:
         tuple(e - 1 if i == v and e else e for i, e in enumerate(g))
         for g in gens])
     return _poly_add(hilbert_numerator(with_pivot),
-                     _poly_shift(hilbert_numerator(colon), 1))
+                     [0] + hilbert_numerator(colon))
 
 
 def hilbert_function_values(gens: Sequence[tuple], nvars: int, tmax: int) -> list:
     """h(0..tmax) for the quotient by the monomial ideal, via the numerator."""
-    num = hilbert_numerator(gens)
-    vals = []
-    for t in range(tmax + 1):
-        total = 0
-        for j, c in enumerate(num):
-            if c and t - j >= 0:
-                total += c * math.comb(t - j + nvars - 1, nvars - 1)
-        vals.append(total)
-    return vals
+    return _values_from_numerator(hilbert_numerator(gens), nvars, tmax)
+
+
+def _values_from_numerator(num: list, nvars: int, tmax: int) -> list:
+    return [sum(c * math.comb(t - j + nvars - 1, nvars - 1)
+                for j, c in enumerate(num[:t + 1]) if c)
+            for t in range(tmax + 1)]
 
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Hilbert function values, the interpolated Hilbert polynomial (exact
-    rational coefficients, ascending), and the dimension/degree they imply.
+    """Hilbert function values, the Hilbert polynomial (exact rational
+    coefficients, ascending), and the dimension/degree they imply.
 
+    `values` is h(0..T) for T = max(T0, deg N) as in the module docstring,
+    at most t = 1000; from t = deg N - nvars + 1 on, h equals the polynomial.
     dim is the projective dimension of the vanishing locus; the empty scheme
     reports dim -1 and degree 0 rather than raising.
     """
@@ -278,75 +278,49 @@ class HilbertData:
         }
 
 
-def _interpolate(points: list) -> list:
-    """Exact polynomial through (t, value) points; ascending Fraction coeffs."""
-    coeffs = [Fraction(0)]
-    basis = [Fraction(1)]  # running product (t - t0)(t - t1)...
-    for i, (ti, vi) in enumerate(points):
-        # Newton step: evaluate current poly at ti, correct with basis
-        cur = sum((c * ti ** k for k, c in enumerate(coeffs)), Fraction(0))
-        bas_at = sum((c * ti ** k for k, c in enumerate(basis)), Fraction(0))
-        factor = (Fraction(vi) - cur) / bas_at
-        coeffs = _frac_add(coeffs, [factor * c for c in basis])
-        # basis *= (t - ti)
-        basis = _frac_add([Fraction(0)] + basis,
-                          [-Fraction(ti) * c for c in basis])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _frac_add(a: list, b: list) -> list:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _detect_polynomial_tail(values: list, nvars: int, window: int):
-    """Smallest d whose (d+1)-st finite differences vanish on the last
-    `window` entries; None when no candidate stabilizes yet."""
-    for d in range(nvars):
-        diffs = list(values)
-        for _ in range(d + 1):
-            diffs = [diffs[i + 1] - diffs[i] for i in range(len(diffs) - 1)]
-        if len(diffs) >= window and all(c == 0 for c in diffs[-window:]):
-            return d
-    return None
-
-
 def hilbert(gb: GroebnerBasis) -> HilbertData:
     """Hilbert function, polynomial, dimension, and degree from a basis.
 
     Requires every basis element homogeneous. The quotient's Hilbert function
-    equals that of the initial ideal, so only leading monomials enter.
+    equals that of the initial ideal, so only leading monomials enter. Their
+    lcm bounds deg N, so the cap is checked before any numerator work.
     """
     for g in gb.basis:
         if not g.homogeneous:
             raise NotHomogeneousError("Hilbert data needs a homogeneous ideal")
     nvars = gb.ideal.nvars
     lms = gb.leading_monomials()
-    window = max(nvars, 4)
-    gen_span = max((mono_degree(m) for m in lms), default=0)
-    tmax = gen_span + window + nvars
-    while True:
-        if tmax > _T_CAP:
-            raise BudgetExceededError(
-                f"Hilbert function did not stabilize by t = {_T_CAP}")
-        values = hilbert_function_values(lms, nvars, tmax)
-        d = _detect_polynomial_tail(values, nvars, window)
-        if d is not None:
-            pts = [(t, values[t]) for t in range(tmax - d, tmax + 1)]
-            coeffs = _interpolate(pts)
-            ok = all(
-                sum((c * t ** k for k, c in enumerate(coeffs)), Fraction(0))
-                == values[t]
-                for t in range(tmax - window + 1, tmax + 1))
-            if ok:
-                return _finish_hilbert(values, coeffs)
-        tmax += window
+    t0 = (max((mono_degree(m) for m in lms), default=0)
+          + max(nvars, 4) + nvars)
+    reach = max(t0, mono_degree(functools.reduce(mono_lcm, lms, (0,) * nvars)))
+    if reach > _T_CAP:
+        raise BudgetExceededError(
+            f"Hilbert function range t = 0..{reach} is over the cap "
+            f"t = {_T_CAP}")
+    num = hilbert_numerator(lms)
+    deg_num = max((j for j, c in enumerate(num) if c), default=0)
+    values = _values_from_numerator(num, nvars, max(t0, deg_num))
+    return _finish_hilbert(values, _hilbert_polynomial(num, nvars))
+
+
+def _hilbert_polynomial(num: list, nvars: int) -> list:
+    """Ascending Fraction coefficients of sum_j N_j * C(t - j + nvars - 1,
+    nvars - 1), trailing zeros trimmed; built over the integers, scaled by
+    (nvars - 1)!, and divided once at the end."""
+    total = [0] * nvars
+    for j, c in enumerate(num):
+        if not c:
+            continue
+        term = [c]
+        for i in range(1, nvars):  # times (t - j + i)
+            term = [a * (i - j) + b for a, b in zip(term + [0], [0] + term)]
+        for k, a in enumerate(term):
+            total[k] += a
+    scale = math.factorial(nvars - 1)
+    coeffs = [Fraction(a, scale) for a in total]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
 
 
 def _finish_hilbert(values: list, coeffs: list) -> HilbertData:

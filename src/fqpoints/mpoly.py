@@ -9,6 +9,7 @@ generator `a`.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -59,9 +60,6 @@ class MonomialOrder:
         if self.name == "lex":
             return exps
         return (sum(exps), tuple(-e for e in reversed(exps)))
-
-    def greater(self, u: Exps, v: Exps) -> bool:
-        return self.key(u) > self.key(v)
 
     def __repr__(self):
         return f"MonomialOrder({self.name!r})"
@@ -476,8 +474,6 @@ def enumerate_forms(field: FieldSpec, nvars: int, degree: int,
                     up_to_scalar: bool = True) -> Iterator[Polynomial]:
     """All nonzero degree-d forms; with up_to_scalar the first nonzero
     coefficient (in monomial order) is normalized to 1."""
-    import itertools
-
     monos = monomials_of_degree(nvars, degree)
     els = list(field.elements())
     one = field.one()

@@ -13,7 +13,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InconsistentFiltersError
 from .gf import FieldElement, FieldSpec
-from .mpoly import Polynomial
+from .mpoly import Polynomial, parse_poly
 
 
 def pi(j: int, q: int) -> int:
@@ -23,24 +23,6 @@ def pi(j: int, q: int) -> int:
     if j < 0:
         return 0
     return (q ** (j + 1) - 1) // (q - 1)
-
-
-class PiSequence:
-    """Cached pi(0..J) for one q, for tight loops over many indices."""
-
-    def __init__(self, q: int, J: int):
-        if J < 0:
-            raise ValueError("J must be nonnegative")
-        self.q = q
-        self.J = J
-        self._vals = [pi(j, q) for j in range(J + 1)]
-
-    def pi(self, j: int) -> int:
-        if j < 0:
-            return 0
-        if j <= self.J:
-            return self._vals[j]
-        return pi(j, self.q)
 
 
 def _normalized_tuples(field: FieldSpec, length: int) -> Iterator[tuple]:
@@ -74,9 +56,6 @@ class ProjectivePoint:
     def n(self) -> int:
         return len(self.coords) - 1
 
-    def sort_key(self):
-        return tuple(c.coeffs for c in self.coords)
-
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
@@ -105,7 +84,6 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> ProjectivePoint:
             coords.append(field.element(int(part)))
         else:
             # allow generator expressions like a+1 through the poly parser
-            from .mpoly import parse_poly
             c = parse_poly(part, field, 1)
             coords.append(c.evaluate([field.zero()]))
     return ProjectivePoint.from_coords(field, coords)

@@ -27,7 +27,6 @@ from .constructions import (
     build_extremal_arrangement,
     build_flower,
     build_partial_spread,
-    exact_linear_count,
 )
 from .errors import InvalidSpecError
 from .gf import FieldSpec, field_from_order
@@ -122,7 +121,7 @@ def _construction_rows(qs) -> list:
             members = getattr(spec, "petals", getattr(spec, "members", ()))
             r = len(members)
             cap = bound_equidimensional(spec.n, q, spec.d, r).total
-            c = exact_linear_count(spec, q)
+            c = spec.point_count()
             rows.append(_row("equidimensional", spec.n, q, cap, c, c == cap,
                              dims=";".join([str(spec.d)] * r),
                              degs=";".join(["1"] * r),

@@ -9,6 +9,7 @@ bound, and census layers.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
@@ -22,7 +23,8 @@ from .errors import (
 from .gf import FieldSpec, make_field
 from .groebner import GroebnerBasis, HilbertData, Ideal, buchberger, hilbert, normal_form
 from .mpoly import GREVLEX, Polynomial, chart_transform, parse_poly
-from .projgeom import LinearSubspace, ProjectivePoint, enumerate_points, pi
+from .projgeom import (LinearSubspace, _normalized_tuples, enumerate_points,
+                       nullspace, pi)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -54,7 +56,6 @@ class Component:
             for exps, c in f.terms.items():
                 row[exps.index(1)] = c
             mat.append(row)
-        from .projgeom import nullspace
         sol = nullspace(mat, self.ideal.field, self.ideal.nvars)
         return LinearSubspace(self.ideal.field, self.ideal.nvars - 1, tuple(sol))
 
@@ -298,8 +299,6 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
     """A normalized linear form dividing f, or None. Exact: a geometric
     component of a hypersurface lies in a rational hyperplane exactly when
     the form has a rational linear divisor."""
-    from .projgeom import _normalized_tuples
-
     nvars = f.nvars
     for w in _normalized_tuples(f.field, nvars):
         ell = Polynomial.from_terms(f.field, nvars, [
@@ -382,8 +381,6 @@ class AffineChart:
 
     def count_affine_by_chart(self, budget: int = DEFAULT_BUDGET) -> int:
         """Independent recount: evaluate the affine equations over F^n."""
-        import itertools
-
         if self.field.q ** self.n > budget:
             raise BudgetExceededError("affine enumeration over budget")
         zero = self.field.zero()

@@ -6,8 +6,9 @@ Each case is one `fqpoints` argv, run in-process through `fqpoints.cli.main`.
 Its stdout goes to `<name>.out`; its argv, exit code and stderr go to
 `index.json`. An argv entry that starts with `inputs/` names a variety
 document under `tests/golden/inputs/` and is resolved against this
-directory, so the transcripts do not depend on the working directory. The transcripts pin the output of the commit they were
-recorded at, so a change that alters one byte of them fails the test.
+directory, so the transcripts do not depend on the working directory.
+The transcripts pin the output of the commit they were recorded at, so a
+change that alters one byte of them fails the test.
 
 Re-record only when an output is meant to change, and give the reason in
 CHANGES.md. A run that rewrites a transcript without such a reason undoes
@@ -62,7 +63,8 @@ CASES = [
     ("error_degree0", _hyper(2, 0, 3)),
     ("error_q6", _hyper(2, 2, 6)),
     ("error_empty_qs", _hyper(1, 1, "")),
-    ("count_twisted_cubic", ["count", "--variety", "inputs/twisted_cubic.var"]),
+    ("count_twisted_cubic", ["count", "--variety",
+                             "inputs/twisted_cubic.var"]),
     ("count_gf4", ["count", "--variety", "inputs/gf4_conic.var"]),
     *((f"hilbert_{name}", ["hilbert", "--variety", f"inputs/{name}.var"])
       for name in ("twisted_cubic", "gf4_conic", "empty", "quadric_p28",

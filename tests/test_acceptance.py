@@ -20,7 +20,6 @@ from fqpoints.constructions import (
     build_extremal_arrangement,
     build_flower,
     build_partial_spread,
-    exact_linear_count,
 )
 from fqpoints.gf import make_field
 from fqpoints.groebner import (
@@ -116,14 +115,14 @@ def test_criterion_4_tight_constructions():
         for petal in flower.petals:
             pts.update(petal.points())
         cap = bound_equidimensional(4, q, 2, 3).total
-        if not (len(pts) == exact_linear_count(flower, q) == want == cap):
+        if not (len(pts) == flower.point_count() == want == cap):
             failures.append(("flower", q, len(pts), want, cap))
     spread = build_partial_spread(3, 1, 5, make_field(2))
     pts = set()
     for m in spread.members:
         pts.update(m.points())
     cap = bound_equidimensional(3, 2, 1, 5).total
-    if not (len(pts) == exact_linear_count(spread, 2) == 15 == pi(3, 2) == cap):
+    if not (len(pts) == spread.point_count() == 15 == pi(3, 2) == cap):
         failures.append(("spread", 2, len(pts), cap))
     _verdict(4, "constructions meet bounds exactly", failures)
 

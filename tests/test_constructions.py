@@ -16,8 +16,6 @@ from fqpoints.constructions import (
     build_flower,
     build_partial_spread,
     enumerate_subspaces,
-    exact_linear_count,
-    to_variety_doc,
 )
 from fqpoints.errors import InfeasibleError, InvalidSpecError
 from fqpoints.gf import make_field
@@ -39,7 +37,7 @@ def union_size(members) -> int:
 def test_full_line_spread_partitions_p3_f2():
     spec = build_partial_spread(3, 1, 5, F2)
     assert len(spec.members) == 5
-    assert exact_linear_count(spec, 2) == 15 == pi(3, 2)
+    assert spec.point_count() == 15 == pi(3, 2)
     pts = set()
     for m in spec.members:
         these = set(m.points())
@@ -50,9 +48,9 @@ def test_full_line_spread_partitions_p3_f2():
 
 def test_small_spreads_and_counts():
     two = build_partial_spread(3, 1, 2, F2)
-    assert union_size(two.members) == 6 == exact_linear_count(two, 2)
+    assert union_size(two.members) == 6 == two.point_count()
     greedy = build_partial_spread(4, 1, 3, F2)
-    assert union_size(greedy.members) == 9 == exact_linear_count(greedy, 2)
+    assert union_size(greedy.members) == 9 == greedy.point_count()
     pts = build_partial_spread(1, 0, 3, F2)  # all of P^1
     assert union_size(pts.members) == 3
 
@@ -75,24 +73,24 @@ def test_spread_parameter_validation():
 
 def test_spread_over_gf4():
     spec = build_partial_spread(3, 1, 5, F4)
-    assert exact_linear_count(spec, 4) == 5 * pi(1, 4) == 25
+    assert spec.point_count() == 5 * pi(1, 4) == 25
     assert union_size(spec.members) == 25
 
 
 def test_flower_of_planes_through_point():
     spec = build_flower(4, 2, 3, F2)
     assert spec.core.dim == 0
-    assert exact_linear_count(spec, 2) == 19
+    assert spec.point_count() == 19
     assert union_size(spec.petals) == 19
     assert spec.point_count() == bound_equidimensional(4, 2, 2, 3).total
 
 
 def test_flower_examples_more_fields():
     two = build_flower(3, 2, 2, F2)  # two hyperplanes sharing a line
-    assert exact_linear_count(two, 2) == 11
+    assert two.point_count() == 11
     assert union_size(two.petals) == 11
     big = build_flower(4, 2, 3, F3)
-    assert exact_linear_count(big, 3) == 37
+    assert big.point_count() == 37
     assert union_size(big.petals) == 37
 
 
@@ -112,7 +110,7 @@ def test_flower_petals_meet_exactly_in_core():
     for a, b in itertools.combinations(spec.petals, 2):
         inter = a.intersection(b)
         assert inter is not None and inter.rows == spec.core.rows
-    assert union_size(spec.petals) == exact_linear_count(spec, 2)
+    assert union_size(spec.petals) == spec.point_count()
 
 
 def test_tight_against_equidimensional_bound():
@@ -120,7 +118,7 @@ def test_tight_against_equidimensional_bound():
              build_flower(4, 2, 4, F3), build_partial_spread(5, 2, 3, F2)]
     for spec in cases:
         r = len(getattr(spec, "petals", getattr(spec, "members", ())))
-        value = exact_linear_count(spec, spec.q)
+        value = spec.point_count()
         assert value == bound_equidimensional(spec.n, spec.q, spec.d, r).total
 
 
@@ -182,10 +180,6 @@ def test_spec_validate_rejects_tampering():
                          petals=flower.petals)
     with pytest.raises(InvalidSpecError):
         crooked.validate()
-    with pytest.raises(InvalidSpecError):
-        exact_linear_count(flower, 3)  # wrong field size
-    with pytest.raises(InvalidSpecError):
-        exact_linear_count("nope", 2)
 
 
 def test_enumerate_subspaces_counts():
@@ -199,21 +193,21 @@ def test_enumerate_subspaces_counts():
 
 def test_variety_doc_roundtrip():
     spread = build_partial_spread(3, 1, 5, F2)
-    X = load_variety(to_variety_doc(spread))
+    X = load_variety(spread.to_variety_doc())
     assert X.irredundancy == "verified"
     assert count_points(X).value == 15
     flower = build_flower(4, 2, 3, F2)
-    Y = load_variety(to_variety_doc(flower))
+    Y = load_variety(flower.to_variety_doc())
     assert count_points(Y).value == 19
     arr = build_extremal_arrangement([2, 1], 3, F2)
-    Z = load_variety(to_variety_doc(arr))
+    Z = load_variety(arr.to_variety_doc())
     assert count_points(Z).value == 9
     assert [c.dim for c in Z.components] == [2, 1]
 
 
 def test_variety_doc_roundtrip_extension_field():
     spread = build_partial_spread(3, 1, 3, F4)
-    X = load_variety(to_variety_doc(spread))
+    X = load_variety(spread.to_variety_doc())
     assert X.q == 4
     assert count_points(X).value == 3 * pi(1, 4)
 

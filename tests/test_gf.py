@@ -13,12 +13,11 @@ from fqpoints.errors import (
 )
 from fqpoints.gf import (
     FieldSpec,
-    enumerate_field,
-    field_arith,
     field_from_order,
     find_irreducible,
     is_prime,
     make_field,
+    prime_power,
     upoly_is_irreducible,
 )
 
@@ -48,7 +47,7 @@ def test_builtin_moduli_cover_the_small_extensions():
     for p, k, q in [(2, 2, 4), (2, 3, 8), (3, 2, 9), (2, 4, 16)]:
         F = make_field(p, k)
         assert F.q == q
-        assert len(list(enumerate_field(F))) == q
+        assert len(list(F.elements())) == q
 
 
 def test_reducible_modulus_rejected():
@@ -81,25 +80,13 @@ def test_prime_field_arith_examples():
     assert F7.element(3) ** 6 == F7.element(1)
 
 
-def test_field_arith_dispatch():
-    F = make_field(3)
-    two = F.element(2)
-    assert field_arith("add", two, two) == F.element(1)
-    assert field_arith("sub", two, F.element(1)) == F.element(1)
-    assert field_arith("mul", two, two) == F.element(1)
-    assert field_arith("div", F.element(1), two) == two
-    assert field_arith("pow", two, 2) == F.element(1)
-    with pytest.raises(ValueError):
-        field_arith("xor", two, two)
-
-
 def test_enumeration_order_and_determinism():
     F = make_field(2)
-    assert [e.coeffs for e in enumerate_field(F)] == [(0,), (1,)]
+    assert [e.coeffs for e in F.elements()] == [(0,), (1,)]
     G = make_field(2, 2)
-    seen = [e.coeffs for e in enumerate_field(G)]
+    seen = [e.coeffs for e in G.elements()]
     assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert seen == [e.coeffs for e in enumerate_field(make_field(2, 2))]
+    assert seen == [e.coeffs for e in make_field(2, 2).elements()]
 
 
 def test_division_by_zero():
@@ -127,7 +114,7 @@ def test_prime_field_has_no_generator():
 def test_field_axioms_exhaustive(p, k):
     """Full associativity/commutativity/distributivity sweep for q <= 16."""
     F = make_field(p, k)
-    els = list(enumerate_field(F))
+    els = list(F.elements())
     assert len(els) == len(set(els)) == F.q
     zero, one = F.zero(), F.one()
     for x in els:
@@ -147,7 +134,7 @@ def test_field_axioms_exhaustive(p, k):
 def test_gf9_frobenius_and_modulus():
     F = make_field(3, 2)
     assert F.modulus == (1, 0, 1)
-    for e in enumerate_field(F):
+    for e in F.elements():
         assert e ** 9 == e
 
 
@@ -172,6 +159,19 @@ def test_field_from_order():
         field_from_order(6)
     with pytest.raises(NotPrimeError):
         field_from_order(12)
+
+
+def test_prime_power_against_trial_factoring():
+    for q in range(-2, 600):
+        want = None
+        for p in range(2, max(q, 2) + 1):
+            k = 1
+            while p ** k < q:
+                k += 1
+            if p ** k == q and is_prime(p):
+                want = (p, k)
+                break
+        assert prime_power(q) == want
 
 
 def test_is_prime_small_table():

@@ -1,13 +1,14 @@
 """Buchberger, normal forms, and Hilbert data, cross-checked by brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from fqpoints.errors import BudgetExceededError, NotHomogeneousError
-from fqpoints.gf import make_field
+from fqpoints.gf import field_from_order, make_field
 from fqpoints.groebner import (
     GroebnerBasis,
     HilbertData,
@@ -256,9 +257,93 @@ def test_section_recurrence_for_prime_ideals():
 def test_budget_guards():
     with pytest.raises(BudgetExceededError):
         buchberger(twisted_cubic_ideal(GF2), max_pairs=0)
-    slow = Ideal.of([parse_poly("x0^61", GF2, 1)])
+    # x0^61 in one variable: the exact answer, well inside the t cap
+    hd = hilbert_of_ideal(Ideal.of([parse_poly("x0^61", GF2, 1)]))
+    assert (hd.dim, hd.degree) == (-1, 0)
+    assert len(hd.values) > 61
+    assert hd.values == (1,) * 61 + (0,) * (len(hd.values) - 61)
+    # the lcm x0^600*x1^600 has degree 1200, past the cap, although the
+    # largest generator degree alone (600) is not
+    past_cap = Ideal.of([parse_poly("x0^600", GF2, 2),
+                         parse_poly("x1^600", GF2, 2)])
+    with pytest.raises(BudgetExceededError, match="over the cap"):
+        hilbert_of_ideal(past_cap)
+
+
+def test_budget_is_checked_before_the_numerator(monkeypatch):
+    def refuse(gens):
+        raise AssertionError("numerator computed past the cap")
+
+    monkeypatch.setattr("fqpoints.groebner.hilbert_numerator", refuse)
     with pytest.raises(BudgetExceededError):
-        hilbert_of_ideal(slow)
+        hilbert_of_ideal(Ideal.of([parse_poly("x0^1001", GF2, 2)]))
+
+
+def test_values_reach_past_the_numerator_degree():
+    # N = (1 - z^5)^3 has degree 15, past T0 = 5 + 4 + 3 = 12
+    gens = [parse_poly(f"x{i}^5", GF2, 3) for i in range(3)]
+    hd = hilbert_of_ideal(Ideal.of(gens))
+    assert hd.empty
+    assert hd.values == tuple(_ci_series(3, [5, 5, 5], 16))
+    assert hd.values[12:] == (1, 0, 0, 0)
+
+
+def test_quadric_in_p29():
+    nvars = 30
+    hd = hilbert_of_ideal(Ideal.of([parse_poly("x0^2+x1*x2", GF3, nvars)]))
+    assert (hd.dim, hd.degree) == (28, 2)
+    assert len(hd.values) == 63  # t = 0..2 + 30 + 30
+    for t, v in enumerate(hd.values):
+        assert v == math.comb(t + 29, 29) - math.comb(t + 27, 29)
+
+
+def _ci_series(nvars, degrees, count):
+    """First `count` coefficients of prod(1 - z^d) / (1 - z)^nvars."""
+    series = [1] + [0] * (count - 1)
+    for d in degrees:
+        series = [c - (series[t - d] if t >= d else 0)
+                  for t, c in enumerate(series)]
+    for _ in range(nvars):
+        series = list(itertools.accumulate(series))
+    return series
+
+
+def _triangular_ci(rng, F, nvars, degrees):
+    """g_i = x_i^(d_i) + terms in x_i..x_n of x_i-degree below d_i, then
+    x_j <- x_j + (random combination of x_0..x_(j-1)). Each g_i is monic in
+    x_i over k[x_(i+1)..x_n], so the g_i are a complete intersection, and a
+    unitriangular change of coordinates keeps them one."""
+    els = list(F.elements())
+    gens = []
+    for i, d in enumerate(degrees):
+        lead = tuple(d if j == i else 0 for j in range(nvars))
+        tails = [m for m in monomials_of_degree(nvars, d)
+                 if not any(m[:i]) and m[i] < d]
+        picked = rng.sample(tails, min(6, len(tails)))
+        terms = [(lead, F.one())] + [(m, rng.choice(els)) for m in picked]
+        gens.append(Polynomial.from_terms(F, nvars, terms))
+    rows = [[F.one() if m == j else (rng.choice(els) if m < j else F.zero())
+             for m in range(nvars)] for j in range(nvars)]
+    return [g.compose_linear(rows, nvars) for g in gens]
+
+
+CI_DEGREES = [(2,), (3,), (1, 2), (2, 2), (2, 3), (3, 3), (1, 1, 2), (1, 2, 2),
+              (1, 2, 3), (2, 2, 2)]
+
+
+@pytest.mark.parametrize("q, n", [(q, n) for q in (2, 3, 4, 7)
+                                  for n in range(3, 7)])
+def test_complete_intersections_match_the_series_formula(q, n):
+    rng = random.Random(100 * q + n)
+    F = field_from_order(q)
+    degrees = rng.choice(CI_DEGREES)
+    hd = hilbert_of_ideal(Ideal.of(_triangular_ci(rng, F, n + 1, degrees)))
+    assert hd.dim == n - len(degrees)
+    assert hd.degree == math.prod(degrees)
+    assert list(hd.values) == _ci_series(n + 1, degrees, len(hd.values))
+    # deg N = sum(d_i), so h is the Hilbert polynomial from t = sum(d_i) - n on
+    for t in range(max(sum(degrees) - n, 0), len(hd.values)):
+        assert hd.poly_at(t) == hd.values[t]
 
 
 def test_hilbert_data_serialization():

@@ -8,7 +8,6 @@ from fqpoints.errors import InconsistentFiltersError
 from fqpoints.gf import make_field
 from fqpoints.projgeom import (
     LinearSubspace,
-    PiSequence,
     ProjectivePoint,
     enumerate_hyperplanes,
     enumerate_points,
@@ -39,12 +38,11 @@ def test_pi_rejects_bad_q():
 
 def test_pi_recurrence_and_difference_scaling():
     for q in (2, 3, 4, 5, 7, 8, 9):
-        seq = PiSequence(q, 12)
         for n in range(0, 13):
-            assert seq.pi(n) == q * seq.pi(n - 1) + 1
+            assert pi(n, q) == q * pi(n - 1, q) + 1
         for k in range(0, 13):
             for m in range(0, k + 1):
-                assert seq.pi(k) - seq.pi(m) == q * (seq.pi(k - 1) - seq.pi(m - 1))
+                assert pi(k, q) - pi(m, q) == q * (pi(k - 1, q) - pi(m - 1, q))
 
 
 def test_point_enumeration_order_p1_f2():

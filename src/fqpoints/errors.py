@@ -67,6 +67,10 @@ class InconsistentFiltersError(ToolkitError):
     pass
 
 
+class BadPointError(ToolkitError, ValueError):
+    """Point coordinates of the wrong arity, or all zero."""
+
+
 # --- bound evaluators ---
 
 class BadSequenceError(ToolkitError):

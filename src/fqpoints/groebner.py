@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 from .errors import BudgetExceededError, NotHomogeneousError
 from .gf import FieldSpec
 from .mpoly import (
+    DEGREE_CAP,
     GREVLEX,
     MonomialOrder,
     Polynomial,
@@ -30,8 +31,6 @@ from .mpoly import (
     mono_lcm,
     mono_mul,
 )
-
-_T_CAP = 1000  # largest t at which hilbert() evaluates the Hilbert function
 
 
 @dataclass(frozen=True)
@@ -293,10 +292,10 @@ def hilbert(gb: GroebnerBasis) -> HilbertData:
     t0 = (max((mono_degree(m) for m in lms), default=0)
           + max(nvars, 4) + nvars)
     reach = max(t0, mono_degree(functools.reduce(mono_lcm, lms, (0,) * nvars)))
-    if reach > _T_CAP:
+    if reach > DEGREE_CAP:
         raise BudgetExceededError(
             f"Hilbert function range t = 0..{reach} is over the cap "
-            f"t = {_T_CAP}")
+            f"t = {DEGREE_CAP}")
     num = hilbert_numerator(lms)
     deg_num = max((j for j, c in enumerate(num) if c), default=0)
     values = _values_from_numerator(num, nvars, max(t0, deg_num))

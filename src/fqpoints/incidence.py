@@ -17,9 +17,10 @@ from .errors import (
     PointNotOnComponentError,
     PointNotOnVarietyError,
 )
-from .projgeom import LinearSubspace, ProjectivePoint, enumerate_hyperplanes, pi
+from .projgeom import ProjectivePoint, enumerate_hyperplanes, pi
 from .variety import (
     Variety,
+    _on_union,
     classify_components,
     dimension_degree_sequences,
     rational_points,
@@ -85,14 +86,20 @@ class IncidenceCensus:
         return lines
 
 
-def _point_on_variety(X: Variety, P: ProjectivePoint) -> bool:
-    coords = list(P.coords)
-    for comp in X.components:
-        if comp.empty:
-            continue
-        if all(not g.evaluate(coords) for g in comp.gb.basis):
-            return True
-    return False
+def _pencil_incidences(X: Variety, P: ProjectivePoint, budget: int, L=None):
+    """(V1, pencil, valencies, edges) at base point P.
+
+    V1 is X(F_q) minus P, or minus the subspace L when one is given; the
+    pencil is the hyperplanes through P (not containing L); a valency is the
+    number of V1 points on one pencil member, in pencil order. Each
+    incidence test is one dot product with the member's cached dual form."""
+    pts = rational_points(X, budget=budget)
+    v1 = [Q for Q in pts if (Q != P if L is None else not L.contains(Q))]
+    pencil = list(enumerate_hyperplanes(X.n, X.field, through=P,
+                                        excluding_containing=L))
+    valencies = tuple((str(H.form_polynomials()[0]),
+                       sum(1 for Q in v1 if H.contains(Q))) for H in pencil)
+    return v1, pencil, valencies, sum(v for _, v in valencies)
 
 
 def census_through_point(X: Variety, P: ProjectivePoint,
@@ -104,17 +111,10 @@ def census_through_point(X: Variety, P: ProjectivePoint,
     pi_{n-2} pencil members). When the classification puts every component
     outside every hyperplane, additionally caps each valency by the section
     bound minus one and replays the derived count bound."""
-    if not _point_on_variety(X, P):
+    if not _on_union([c.ideal.gens for c in X.components], P.coords):
         raise PointNotOnVarietyError(f"{P} is not a rational point of X")
-    n, q, F = X.n, X.q, X.field
-    pts = rational_points(X, budget=budget)
-    v1 = [Q for Q in pts if Q != P]
-    pencil = list(enumerate_hyperplanes(n, F, through=P))
-    valencies = []
-    for H in pencil:
-        on_h = sum(1 for Q in v1 if H.contains(Q))
-        valencies.append((str(H.form_polynomials()[0]), on_h))
-    edges = sum(v for _, v in valencies)
+    n, q = X.n, X.q
+    v1, pencil, valencies, edges = _pencil_incidences(X, P, budget)
     per_point = pi(n - 2, q)
     identities = {
         "pencil_size_is_pi_n_minus_1": len(pencil) == pi(n - 1, q),
@@ -149,7 +149,7 @@ def census_through_point(X: Variety, P: ProjectivePoint,
     return IncidenceCensus(
         regime="spanning", n=n, q=q, base_point=P,
         v1_size=len(v1), v2_size=len(pencil), edge_count=edges,
-        per_point_valency=per_point, valencies=tuple(valencies),
+        per_point_valency=per_point, valencies=valencies,
         identities=identities, section_bound=section_bound,
         violations=tuple(violations), extra=extra)
 
@@ -166,7 +166,7 @@ def census_linear_component(X: Variety, component_name: str,
     comp = X.component(component_name)
     if not comp.is_linear or comp.empty:
         raise NotLinearError(f"component {component_name!r} is not linear")
-    n, q, F = X.n, X.q, X.field
+    n, q = X.n, X.q
     d = comp.dim
     if d >= n - 1:
         raise ComponentIsHyperplaneError(
@@ -176,15 +176,7 @@ def census_linear_component(X: Variety, component_name: str,
     if not L.contains(P):
         raise PointNotOnComponentError(
             f"{P} is not on component {component_name!r}")
-    pts = rational_points(X, budget=budget)
-    v1 = [Q for Q in pts if not L.contains(Q)]
-    pencil = list(enumerate_hyperplanes(n, F, through=P,
-                                        excluding_containing=L))
-    valencies = []
-    for H in pencil:
-        on_h = sum(1 for Q in v1 if H.contains(Q))
-        valencies.append((str(H.form_polynomials()[0]), on_h))
-    edges = sum(v for _, v in valencies)
+    v1, pencil, valencies, edges = _pencil_incidences(X, P, budget, L)
     per_point = pi(n - 2, q) - pi(n - d - 2, q)
     identities = {
         "pencil_size_is_difference_of_pis":
@@ -194,6 +186,6 @@ def census_linear_component(X: Variety, component_name: str,
     return IncidenceCensus(
         regime="linear_component", n=n, q=q, base_point=P,
         v1_size=len(v1), v2_size=len(pencil), edge_count=edges,
-        per_point_valency=per_point, valencies=tuple(valencies),
+        per_point_valency=per_point, valencies=valencies,
         identities=identities,
         extra={"component": component_name, "component_dim": d})

@@ -13,6 +13,7 @@ import itertools
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     FieldMismatchError,
     NotHomogeneousError,
@@ -23,6 +24,10 @@ from .errors import (
 from .gf import FieldElement, FieldSpec
 
 Exps = tuple
+
+# Largest total degree the parser expands a power to; hilbert() caps the
+# range of its Hilbert function at the same value.
+DEGREE_CAP = 1000
 
 
 # --- monomial helpers ---
@@ -239,11 +244,7 @@ class Polynomial:
         """Substitute x_j <- sum_m rows[j][m] * y_m (a linear change of variables)."""
         if len(rows) != self.nvars:
             raise DimensionMismatchError("need one substitution row per variable")
-        linear = [Polynomial.from_terms(
-            self.field, new_nvars,
-            [(tuple(1 if t == m else 0 for t in range(new_nvars)), c)
-             for m, c in enumerate(row)])
-            for row in rows]
+        linear = [linear_form(self.field, row) for row in rows]
         powers: dict = {}
 
         def power(j, e):
@@ -300,6 +301,24 @@ class Polynomial:
 
     def __repr__(self):
         return f"<poly {self} over {self.field}>"
+
+
+# --- linear forms <-> coefficient vectors ---
+
+def linear_form(field: FieldSpec, vector: Sequence) -> Polynomial:
+    """The linear form sum_i vector[i] * x_i in len(vector) variables."""
+    nvars = len(vector)
+    return Polynomial.from_terms(field, nvars, [
+        (tuple(1 if j == i else 0 for j in range(nvars)), c)
+        for i, c in enumerate(vector)])
+
+
+def form_vector(f: Polynomial) -> tuple:
+    """The coefficient vector of a linear form; inverse of linear_form."""
+    vec = [f.field.zero()] * f.nvars
+    for exps, c in f.terms.items():
+        vec[exps.index(1)] = c
+    return tuple(vec)
 
 
 # --- parsing ---
@@ -381,6 +400,11 @@ class _Parser:
             tok = self.take()
             if not (isinstance(tok, tuple) and tok[0] == "num"):
                 raise ParseError(f"exponent must be an integer in {self.source!r}")
+            # a monomial's power is one term; anything longer expands
+            if len(node.terms) > 1 and node.degree() * tok[1] > DEGREE_CAP:
+                raise BudgetExceededError(
+                    f"power of degree {node.degree() * tok[1]} in "
+                    f"{self.source!r} is over the cap {DEGREE_CAP}")
             node = node ** tok[1]
         return node
 

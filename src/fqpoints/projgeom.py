@@ -2,8 +2,11 @@
 
 Points are coordinate tuples normalized so the first nonzero entry is 1.
 Subspaces are stored as RREF bases of their underlying linear spaces, which
-makes equality and hashing canonical. q-ary counts use pi(j) = |P^j(F_q)|,
-with pi(j) = 0 for negative j.
+makes equality and hashing canonical. A point lies on a subspace when every
+one of the subspace's dual forms (a basis of the linear forms vanishing on
+it, computed once and cached) vanishes at the point. A hyperplane has a
+single dual form, so each point-hyperplane incidence costs one dot product.
+q-ary counts use pi(j) = |P^j(F_q)|, with pi(j) = 0 for negative j.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional, Sequence
 
-from .errors import InconsistentFiltersError
+from .errors import BadPointError, InconsistentFiltersError
 from .gf import FieldElement, FieldSpec
-from .mpoly import Polynomial, parse_poly
+from .mpoly import linear_form, parse_poly
 
 
 def pi(j: int, q: int) -> int:
@@ -48,7 +51,7 @@ class ProjectivePoint:
         vals = [field.element(c) for c in coords]
         lead = next((v for v in vals if v), None)
         if lead is None:
-            raise ValueError("projective point needs a nonzero coordinate")
+            raise BadPointError("projective point needs a nonzero coordinate")
         inv = lead.inverse()
         return cls(field, tuple(v * inv for v in vals))
 
@@ -77,7 +80,7 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> ProjectivePoint:
     sep = ":" if ":" in s else ","
     parts = [part.strip() for part in s.split(sep)]
     if len(parts) != n + 1:
-        raise ValueError(f"expected {n + 1} coordinates, got {len(parts)}")
+        raise BadPointError(f"expected {n + 1} coordinates, got {len(parts)}")
     coords = []
     for part in parts:
         if part.lstrip("-").isdigit():
@@ -98,6 +101,12 @@ def enumerate_points(n: int, field: FieldSpec) -> Iterator[ProjectivePoint]:
 
 
 # --- exact linear algebra over a FieldSpec ---
+
+def _dot(w: Sequence[FieldElement], v: Sequence) -> FieldElement:
+    """sum_i w_i * v_i: the linear form w evaluated at the vector v. Zero
+    entries are skipped; normalized forms and points have many."""
+    return sum((a * b for a, b in zip(w, v) if a and b), w[0].field.zero())
+
 
 def rref(rows: Sequence[Sequence[FieldElement]], field: FieldSpec):
     """(reduced row echelon rows without zero rows, pivot column list)."""
@@ -186,13 +195,9 @@ class LinearSubspace:
         return self._dual
 
     def contains(self, point) -> bool:
-        coords = list(point.coords if isinstance(point, ProjectivePoint) else point)
-        for row in self.rows:
-            piv = next(i for i, v in enumerate(row) if v)
-            c = coords[piv]
-            if c:
-                coords = [a - c * b for a, b in zip(coords, row)]
-        return not any(coords)
+        """Every dual form vanishes at the point (or coordinate vector)."""
+        coords = point.coords if isinstance(point, ProjectivePoint) else point
+        return not any(_dot(w, coords) for w in self.dual_forms())
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains(row) for row in other.rows)
@@ -217,15 +222,9 @@ class LinearSubspace:
         return LinearSubspace.from_spanning(
             self.field, list(self.rows) + list(other.rows))
 
-    def form_polynomials(self, nvars: Optional[int] = None) -> list:
+    def form_polynomials(self) -> list:
         """dual_forms as linear Polynomial objects."""
-        nvars = self.n + 1 if nvars is None else nvars
-        out = []
-        for w in self.dual_forms():
-            items = [(tuple(1 if j == i else 0 for j in range(nvars)), c)
-                     for i, c in enumerate(w)]
-            out.append(Polynomial.from_terms(self.field, nvars, items))
-        return out
+        return [linear_form(self.field, w) for w in self.dual_forms()]
 
     def __eq__(self, other):
         if not isinstance(other, LinearSubspace):
@@ -244,41 +243,23 @@ class LinearSubspace:
 
 def enumerate_hyperplanes(n: int, field: FieldSpec,
                           through: Optional[ProjectivePoint] = None,
-                          containing: Optional[LinearSubspace] = None,
                           excluding_containing: Optional[LinearSubspace] = None
                           ) -> Iterator[LinearSubspace]:
     """Hyperplanes of P^n by normalized dual form, with incidence filters.
 
-    `through` keeps hyperplanes on a point, `containing` those containing a
-    subspace, `excluding_containing` those NOT containing one. When `through`
-    and `excluding_containing` are combined the point must lie on the excluded
-    subspace; that is the configuration the counting identities cover.
+    `through` keeps hyperplanes on a point, `excluding_containing` drops
+    those containing a subspace. When both are given the point must lie on
+    the excluded subspace; that is the configuration the counting identities
+    cover.
     """
     if through is not None and excluding_containing is not None:
         if not excluding_containing.contains(through):
             raise InconsistentFiltersError(
                 "through-point must lie on the subspace being excluded")
     for w in _normalized_tuples(field, n + 1):
-        if through is not None:
-            acc = field.zero()
-            for a, b in zip(w, through.coords):
-                acc = acc + a * b
-            if acc:
-                continue
-        if containing is not None and not _form_vanishes_on(w, containing):
+        if through is not None and _dot(w, through.coords):
             continue
-        if excluding_containing is not None and _form_vanishes_on(
-                w, excluding_containing):
+        if excluding_containing is not None and not any(
+                _dot(w, row) for row in excluding_containing.rows):
             continue
         yield LinearSubspace.from_dual_form(field, w)
-
-
-def _form_vanishes_on(w: tuple, sub: LinearSubspace) -> bool:
-    zero = sub.field.zero()
-    for row in sub.rows:
-        acc = zero
-        for a, b in zip(w, row):
-            acc = acc + a * b
-        if acc:
-            return False
-    return True

@@ -22,9 +22,10 @@ from .errors import (
 )
 from .gf import FieldSpec, make_field
 from .groebner import GroebnerBasis, HilbertData, Ideal, buchberger, hilbert, normal_form
-from .mpoly import GREVLEX, Polynomial, chart_transform, parse_poly
-from .projgeom import (LinearSubspace, _normalized_tuples, enumerate_points,
-                       nullspace, pi)
+from .mpoly import (GREVLEX, Polynomial, chart_transform, form_vector,
+                    linear_form, parse_poly)
+from .projgeom import (LinearSubspace, _dot, _normalized_tuples,
+                       enumerate_points, nullspace, pi)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -50,12 +51,7 @@ class Component:
     def subspace(self) -> LinearSubspace:
         if not self.is_linear:
             raise ValueError(f"component {self.name} is not linear")
-        mat = []
-        for f in self.hyperplane_forms:
-            row = [f.field.zero()] * f.nvars
-            for exps, c in f.terms.items():
-                row[exps.index(1)] = c
-            mat.append(row)
+        mat = [form_vector(f) for f in self.hyperplane_forms]
         sol = nullspace(mat, self.ideal.field, self.ideal.nvars)
         return LinearSubspace(self.ideal.field, self.ideal.nvars - 1, tuple(sol))
 
@@ -138,6 +134,15 @@ def _parse_kv(parts: Sequence[str], line_no: int) -> dict:
     return out
 
 
+def _int_value(kv: dict, key: str, line_no: int) -> Optional[int]:
+    """kv[key] as an int; None when the key is absent."""
+    try:
+        return int(kv[key]) if key in kv else None
+    except ValueError:
+        raise ParseError(f"line {line_no}: {key}= must be an integer, "
+                         f"got {kv[key]!r}") from None
+
+
 def load_variety(text: str) -> Variety:
     """Parse and validate a variety document. See the package README for the
     format: `field`, `space`, then `component` blocks with `poly` lines."""
@@ -153,13 +158,17 @@ def load_variety(text: str) -> Variety:
             kv = _parse_kv(rest, line_no)
             if "p" not in kv or "k" not in kv:
                 raise ParseError(f"line {line_no}: field needs p= and k=")
-            field_spec = make_field(int(kv["p"]), int(kv["k"]),
-                                    kv.get("modulus"))
+            try:  # a bad k or modulus
+                field_spec = make_field(_int_value(kv, "p", line_no),
+                                        _int_value(kv, "k", line_no),
+                                        kv.get("modulus"))
+            except ValueError as exc:
+                raise ParseError(f"line {line_no}: {exc}") from None
         elif head == "space":
             kv = _parse_kv(rest, line_no)
             if "n" not in kv:
                 raise ParseError(f"line {line_no}: space needs n=")
-            n = int(kv["n"])
+            n = _int_value(kv, "n", line_no)
             if n < 1:
                 raise ParseError(f"line {line_no}: ambient dimension must be >= 1")
         elif head == "component":
@@ -171,8 +180,8 @@ def load_variety(text: str) -> Variety:
                 raise ParseError(
                     f"line {line_no}: irreducible must be yes or declared")
             blocks.append((kv["name"],
-                           int(kv["dim"]) if "dim" in kv else None,
-                           int(kv["deg"]) if "deg" in kv else None,
+                           _int_value(kv, "dim", line_no),
+                           _int_value(kv, "deg", line_no),
                            irred_txt in ("yes", "declared"),
                            []))
         elif head == "poly":
@@ -227,22 +236,27 @@ def _containment_screen(components: tuple) -> tuple:
 
 # --- point counting ---
 
-def _on_some_component(coords, components, zero) -> bool:
-    for comp in components:
-        if all(g.evaluate(coords) == zero for g in comp.ideal.gens):
-            return True
-    return False
+def _on_union(gens_per_component: Sequence, coords) -> bool:
+    """Whether coords is a zero of every generator of some one component:
+    membership in the union of the components' zero sets."""
+    return any(all(not g.evaluate(coords) for g in gens)
+               for gens in gens_per_component)
+
+
+def _union_points(field: FieldSpec, n: int, gens_per_component: Sequence,
+                  budget: int) -> list:
+    total = pi(n, field.q)
+    if total > budget:
+        raise BudgetExceededError(
+            f"P^{n}(F_{field.q}) has {total} points, over budget {budget}")
+    return [P for P in enumerate_points(n, field)
+            if _on_union(gens_per_component, P.coords)]
 
 
 def rational_points(X: Variety, budget: int = DEFAULT_BUDGET) -> list:
     """All rational points of the union, enumeration order, exact."""
-    total = pi(X.n, X.q)
-    if total > budget:
-        raise BudgetExceededError(
-            f"P^{X.n}(F_{X.q}) has {total} points, over budget {budget}")
-    zero = X.field.zero()
-    return [P for P in enumerate_points(X.n, X.field)
-            if _on_some_component(P.coords, X.components, zero)]
+    return _union_points(X.field, X.n, [c.ideal.gens for c in X.components],
+                         budget)
 
 
 def count_points(target: Union[Variety, Ideal],
@@ -250,16 +264,8 @@ def count_points(target: Union[Variety, Ideal],
     """Exact rational point count by exhaustive enumeration."""
     if isinstance(target, Ideal):
         n = target.nvars - 1
-        q = target.field.q
-        total = pi(n, q)
-        if total > budget:
-            raise BudgetExceededError(
-                f"P^{n}(F_{q}) has {total} points, over budget {budget}")
-        zero = target.field.zero()
-        value = sum(
-            1 for P in enumerate_points(n, target.field)
-            if all(g.evaluate(P.coords) == zero for g in target.gens))
-        return PointCount(value, "enumeration", n, q)
+        pts = _union_points(target.field, n, [target.gens], budget)
+        return PointCount(len(pts), "enumeration", n, target.field.q)
     return PointCount(len(rational_points(target, budget)),
                       "enumeration", target.n, target.q)
 
@@ -299,11 +305,8 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
     """A normalized linear form dividing f, or None. Exact: a geometric
     component of a hypersurface lies in a rational hyperplane exactly when
     the form has a rational linear divisor."""
-    nvars = f.nvars
-    for w in _normalized_tuples(f.field, nvars):
-        ell = Polynomial.from_terms(f.field, nvars, [
-            (tuple(1 if j == i else 0 for j in range(nvars)), c)
-            for i, c in enumerate(w)])
+    for w in _normalized_tuples(f.field, f.nvars):
+        ell = linear_form(f.field, w)
         if normal_form(f, [ell], GREVLEX).is_zero():
             return ell
     return None
@@ -406,21 +409,13 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
     if form.is_zero() or form.degree() != 1 or not form.homogeneous:
         raise ValueError("chart needs a nonzero linear form")
     nvars = X.n + 1
-    w = [form.field.zero()] * nvars
-    for exps, c in form.terms.items():
-        w[exps.index(1)] = c
+    w = form_vector(form)
     pivot = next(i for i, c in enumerate(w) if c)
     inv = w[pivot].inverse()
     # substitution x_j <- row_j(y) with l(x(y)) = y_pivot
-    rows = []
-    for j in range(nvars):
-        if j != pivot:
-            rows.append([X.field.one() if m == j else X.field.zero()
-                         for m in range(nvars)])
-        else:
-            row = [-(c * inv) for c in w]
-            row[pivot] = inv
-            rows.append(row)
+    rows = [[int(m == j) for m in range(nvars)] for j in range(nvars)]
+    rows[pivot] = [-(c * inv) for c in w]
+    rows[pivot][pivot] = inv
     off, on = [], []
     for comp in X.components:
         if normal_form(form, list(comp.gb.basis), comp.gb.order).is_zero():
@@ -431,8 +426,7 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
             for g in comp.ideal.gens)
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)
-    zero = X.field.zero()
-    section = sum(1 for P in pts if form.evaluate(P.coords) == zero)
+    section = sum(1 for P in pts if not _dot(w, P.coords))
     return AffineChart(X.field, X.n, form, pivot, tuple(off), tuple(on),
                        len(pts), section, len(pts) - section)
 

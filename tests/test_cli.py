@@ -171,3 +171,36 @@ def test_outputs_are_byte_identical(capsys, tmp_path):
                                   "--out", str(path)])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("doc, line", [
+    ("field p=x k=1\nspace n=2\ncomponent name=a\npoly x0\n", 1),
+    ("field p=2 k=0\nspace n=2\ncomponent name=a\npoly x0\n", 1),
+    ("field p=2 k=1\nspace n=2\ncomponent name=a dim=zz\npoly x0\n", 3),
+], ids=["field_p_not_an_int", "field_k_zero", "component_dim_not_an_int"])
+def test_bad_document_value_names_its_line(capsys, tmp_path, doc, line):
+    path = tmp_path / "bad.var"
+    path.write_text(doc)
+    code, out, err = run(capsys, ["count", "--variety", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: line {line}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("point", ["1:0:0", "0:0:0:0"],
+                         ids=["wrong_arity", "all_zero"])
+def test_bad_census_point_exits_2(capsys, cubic_file, point):
+    code, out, err = run(capsys, ["census", "--variety", cubic_file,
+                                  "--point", point])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_expanded_power_over_the_degree_cap_exits_2(capsys, tmp_path):
+    path = tmp_path / "power.var"
+    path.write_text("field p=2 k=1\nspace n=1\ncomponent name=a\n"
+                    "poly (x0+x1)^100000\n")
+    code, out, err = run(capsys, ["count", "--variety", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: power of degree 100000 in '(x0+x1)^100000' "
+                   "is over the cap 1000\n")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpoints.errors import (
+    BudgetExceededError,
     DimensionMismatchError,
     NotHomogeneousError,
     ParseError,
@@ -20,6 +21,8 @@ from fqpoints.mpoly import (
     Polynomial,
     chart_transform,
     enumerate_forms,
+    form_vector,
+    linear_form,
     mono_degree,
     mono_div,
     mono_divides,
@@ -72,6 +75,17 @@ def test_parse_errors():
         parse_poly("2x0", GF2, 2)
     with pytest.raises(ParseError):
         parse_poly("x0 x1", GF2, 2)
+
+
+def test_parse_caps_expanded_powers():
+    # a power of a sum expands; over the degree cap it is refused unexpanded
+    with pytest.raises(BudgetExceededError, match="over the cap 1000"):
+        parse_poly("(x0+x1)^1001", GF2, 2)
+    with pytest.raises(BudgetExceededError):
+        parse_poly("((x0+x1)^40)^30", GF3, 2)
+    assert parse_poly("(x0+x1)^1000", GF2, 2).degree() == 1000
+    # a monomial's power is one term at any degree
+    assert parse_poly("x0^300000", GF2, 2).terms == {(300000, 0): GF2.one()}
 
 
 def test_evaluate_examples():
@@ -168,6 +182,17 @@ def test_compose_linear_identity_and_swap():
     assert f.compose_linear(ident, 3) == f
     swap01 = [[zero, one, zero], [one, zero, zero], [zero, zero, one]]
     assert f.compose_linear(swap01, 3) == parse_poly("x1^2+x0*x2", GF3, 3)
+
+
+def test_linear_form_and_form_vector_are_inverse():
+    for F in (GF3, GF4):
+        for vec in itertools.product(F.elements(), repeat=3):
+            f = linear_form(F, vec)
+            assert form_vector(f) == vec
+            assert f.is_zero() or (f.degree() == 1 and f.homogeneous)
+            point = (F.one(), F.element(2), F.zero())
+            assert f.evaluate(point) == sum(
+                (a * b for a, b in zip(vec, point)), F.zero())
 
 
 def test_monomials_of_degree_counts():

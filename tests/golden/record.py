@@ -84,6 +84,20 @@ CASES = [
     ("census_linear_component", ["census", "--variety", "inputs/two_lines.var",
                                  "--point", "0:0:1:0",
                                  "--linear-component", "L1"]),
+    ("census_trace_gf9", ["census", "--variety",
+                          "inputs/gf9_quadric_line.var", "--point", "1:0:a:0",
+                          "--trace"]),
+    ("census_linear_component_gf4", ["census", "--variety",
+                                     "inputs/gf4_quadric_line.var",
+                                     "--point", "0:1:a:1",
+                                     "--linear-component", "L"]),
+    ("count_gf8", ["count", "--variety", "inputs/gf8_cubic.var"]),
+    ("count_gf16", ["count", "--variety", "inputs/gf16_surface.var"]),
+    ("construct_spread_q9_json", ["construct", "spread", "--n", "3", "--d",
+                                  "1", "--r", "4", "--q", "9",
+                                  "--emit", "json"]),
+    ("hilbert_gf4096_conics", ["hilbert", "--variety",
+                               "inputs/gf4096_conics.var"]),
 ]
 
 

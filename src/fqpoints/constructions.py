@@ -13,13 +13,18 @@ from typing import Iterator, Sequence
 
 from .bounds import bound_linear_arrangement
 from .errors import InfeasibleError, InvalidSpecError
-from .gf import FieldElement, FieldSpec, find_irreducible, upoly_rem
+from .gf import FieldSpec, find_irreducible, upoly_rem
 from .projgeom import LinearSubspace, pi, rank
 
+# Most candidate subspaces the first-fit spread packer scans.
+SCAN_BUDGET = 500_000
+# Most placements the extremal-arrangement backtracking search tries.
+ARRANGEMENT_STEPS = 200_000
 
-def _unit_row(field: FieldSpec, length: int, position: int) -> list:
-    row = [field.zero()] * length
-    row[position] = field.one()
+
+def _unit_row(length: int, position: int) -> list:
+    row = [0] * length
+    row[position] = 1
     return row
 
 
@@ -35,12 +40,13 @@ def _union_point_count(members: Sequence[LinearSubspace]) -> int:
     return len(seen)
 
 
-def _elem_json(c: FieldElement):
-    return c.coeffs[0] if c.field.k == 1 else list(c.coeffs)
+def _elem_json(field: FieldSpec, c: int):
+    coeffs = field.coeffs(c)
+    return coeffs[0] if field.k == 1 else list(coeffs)
 
 
 def _rows_json(sub: LinearSubspace) -> list:
-    return [[_elem_json(c) for c in row] for row in sub.rows]
+    return [[_elem_json(sub.field, c) for c in row] for row in sub.rows]
 
 
 def _field_json(field: FieldSpec) -> dict:
@@ -245,9 +251,8 @@ def _mul_matrix(field: FieldSpec, modulus, lam, m: int) -> list:
     """Row t holds the coefficients of lam * x^t reduced mod the modulus."""
     rows = []
     for t in range(m):
-        shifted = [field.zero()] * t + list(lam)
-        rem = list(upoly_rem(shifted, list(modulus), field))
-        rows.append(rem + [field.zero()] * (m - len(rem)))
+        rem = list(upoly_rem([0] * t + list(lam), modulus, field))
+        rows.append(rem + [0] * (m - len(rem)))
     return rows
 
 
@@ -266,10 +271,10 @@ def _field_reduction_members(n: int, d: int, r: int,
         if len(members) == r:
             break
         mat = _mul_matrix(field, modulus, lam, m)
-        rows = [_unit_row(field, m, t) + mat[t] for t in range(m)]
+        rows = [_unit_row(m, t) + mat[t] for t in range(m)]
         members.append(LinearSubspace.from_spanning(field, rows))
     if len(members) < r:  # r == capacity: add the vertical member
-        rows = [[field.zero()] * m + _unit_row(field, m, t) for t in range(m)]
+        rows = [[0] * m + _unit_row(m, t) for t in range(m)]
         members.append(LinearSubspace.from_spanning(field, rows))
     return members
 
@@ -283,14 +288,14 @@ def enumerate_subspaces(n: int, dim: int, field: FieldSpec
         free = [(i, j) for i in range(k) for j in range(n + 1)
                 if j > pivots[i] and j not in pivots]
         for values in itertools.product(elems, repeat=len(free)):
-            rows = [_unit_row(field, n + 1, pivots[i]) for i in range(k)]
+            rows = [_unit_row(n + 1, pivots[i]) for i in range(k)]
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield LinearSubspace(field, n, tuple(tuple(r) for r in rows))
 
 
-def build_partial_spread(n: int, d: int, r: int, field: FieldSpec,
-                         scan_budget: int = 500_000) -> SpreadSpec:
+def build_partial_spread(n: int, d: int, r: int,
+                         field: FieldSpec) -> SpreadSpec:
     """r pairwise-disjoint d-subspaces of P^n (needs 2d < n, r >= 1).
 
     n = 2d+1 uses the field-reduction spread (capacity q^(d+1)+1); other
@@ -309,9 +314,9 @@ def build_partial_spread(n: int, d: int, r: int, field: FieldSpec,
             if len(members) == r:
                 break
             scanned += 1
-            if scanned > scan_budget:
+            if scanned > SCAN_BUDGET:
                 raise InfeasibleError(
-                    f"packer stopped after {scan_budget} candidates with "
+                    f"packer stopped after {SCAN_BUDGET} candidates with "
                     f"{len(members)} members", achieved=len(members))
             if all(_subspace_disjoint(cand, m) for m in members):
                 members.append(cand)
@@ -345,9 +350,9 @@ def build_flower(n: int, d: int, r: int, field: FieldSpec) -> FlowerSpec:
     ambient_rows = n + 1
     sub = build_partial_spread(2 * (n - d) - 1, n - d - 1, r, field)
     core = LinearSubspace.from_spanning(
-        field, [_unit_row(field, ambient_rows, ambient_rows - core_rows + t)
+        field, [_unit_row(ambient_rows, ambient_rows - core_rows + t)
                 for t in range(core_rows)])
-    pad = (field.zero(),) * core_rows
+    pad = (0,) * core_rows
     petals = []
     for member in sub.members:
         rows = [tuple(row) + pad for row in member.rows] + list(core.rows)
@@ -366,13 +371,13 @@ def _arrangement_candidates(n: int, d1: int, di: int,
     c = max(di + d1 + 1 - n, 0)
     w = di + 1 - c
     length = n + 1
-    k_rows = [_unit_row(field, length, d1 - c + 1 + t) for t in range(c)]
+    k_rows = [_unit_row(length, d1 - c + 1 + t) for t in range(c)]
     out = []
     for offset in range(n - d1 - w + 1):
         for alpha in field.elements():
             rows = []
             for t in range(w):
-                row = _unit_row(field, length, d1 + 1 + offset + t)
+                row = _unit_row(length, d1 + 1 + offset + t)
                 if alpha:
                     row[t] = alpha
                 rows.append(row)
@@ -380,8 +385,8 @@ def _arrangement_candidates(n: int, d1: int, di: int,
     return out
 
 
-def build_extremal_arrangement(dims: Sequence[int], n: int, field: FieldSpec,
-                               max_steps: int = 200_000) -> ArrangementSpec:
+def build_extremal_arrangement(dims: Sequence[int], n: int,
+                               field: FieldSpec) -> ArrangementSpec:
     """An arrangement of linear subspaces of the given dimensions whose
     point count equals the arrangement bound.
 
@@ -395,7 +400,7 @@ def build_extremal_arrangement(dims: Sequence[int], n: int, field: FieldSpec,
     ds = tuple(sorted(dims, reverse=True))
     d1 = ds[0]
     first = LinearSubspace.from_spanning(
-        field, [_unit_row(field, n + 1, t) for t in range(d1 + 1)])
+        field, [_unit_row(n + 1, t) for t in range(d1 + 1)])
     menus = [_arrangement_candidates(n, d1, di, field) for di in ds[1:]]
 
     chosen: list = []
@@ -421,9 +426,9 @@ def build_extremal_arrangement(dims: Sequence[int], n: int, field: FieldSpec,
             return True
         for cand in menus[i]:
             steps += 1
-            if steps > max_steps:
+            if steps > ARRANGEMENT_STEPS:
                 raise InfeasibleError(
-                    f"search stopped after {max_steps} placements",
+                    f"search stopped after {ARRANGEMENT_STEPS} placements",
                     achieved=1 + best_depth)
             if fits(cand, ds[i + 1]):
                 chosen.append(cand)

@@ -1,19 +1,23 @@
 """Exact arithmetic in small finite fields GF(p) and GF(p^k).
 
-Extension elements are coefficient vectors over GF(p), reduced by a fixed
-monic irreducible modulus. Everything is immutable and hashable so field
-specs and elements can be shared and used as dict keys. All arithmetic is
-exact integer arithmetic; there is no floating point anywhere.
+Every field element is a plain int in range(q). A prime-field element is its
+residue mod p. An extension element with coefficient vector (c0, ..., c_{k-1})
+over GF(p), reduced by a fixed monic irreducible modulus, is the base-p
+packing sum_i c_i * p^i: so 1 is one, p is the generator `a`, and the prime
+subfield is 0..p-1. `FieldSpec` is the one place that knows this format. Its
+add, sub, neg, mul, inv and pow do the arithmetic (prime fields with `% p`,
+extensions through exp, log and Zech-logarithm tables of size O(q), built
+once per field), and `coeffs` and `text` are the one boundary to coefficient
+vectors and printed text. All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import (
-    FieldMismatchError,
     MissingModulusError,
     NotPrimeError,
     ReducibleModulusError,
@@ -48,154 +52,97 @@ def is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """A finite field GF(p^k); the handle every element carries.
+    """A finite field GF(p^k) and the arithmetic on its int elements.
 
-    Two specs compare equal iff they have the same p, k, and modulus, and
-    elements of equal specs interoperate freely.
+    Two specs compare equal iff they have the same p, k, and modulus. For
+    k > 1, `_exp` holds g^i for a primitive element g and i < 2(q-1),
+    `_log` the inverse map (None at 0), and `_zech[i]` the log of 1 + g^i
+    (None where that is 0), so a + b = a * (1 + b/a) is table lookups.
     """
 
     p: int
     k: int
     modulus: tuple | None  # ascending int coefficients, length k+1; None iff k == 1
     q: int
+    _exp: list = field(default=None, init=False, repr=False, compare=False)
+    _log: list = field(default=None, init=False, repr=False, compare=False)
+    _zech: list = field(default=None, init=False, repr=False, compare=False)
 
-    def element(self, value) -> "FieldElement":
-        """Build an element from an int (prime-subfield embed) or coefficient seq."""
-        if isinstance(value, FieldElement):
-            if value.field != self:
-                raise FieldMismatchError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            coeffs = (value % self.p,) + (0,) * (self.k - 1)
-            return FieldElement(self, coeffs)
-        coeffs = tuple(int(c) % self.p for c in value)
-        if len(coeffs) > self.k:
-            raise ValueError("coefficient vector longer than extension degree")
-        coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        return FieldElement(self, coeffs)
+    def __post_init__(self):
+        if self.k > 1:
+            exp, log, zech = _log_tables(self.p, self.k, self.modulus)
+            object.__setattr__(self, "_exp", exp)
+            object.__setattr__(self, "_log", log)
+            object.__setattr__(self, "_zech", zech)
 
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, (0,) * self.k)
+    def add(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return (a + b) % self.p
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod q-1
+        return 0 if z is None else self._exp[la + z]
 
-    def one(self) -> "FieldElement":
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+    def neg(self, a: int) -> int:
+        if self.k == 1:
+            return -a % self.p
+        if not a or self.p == 2:
+            return a
+        return self._exp[self._log[a] + (self.q - 1) // 2]  # -1 = g^((q-1)/2)
 
-    def gen(self) -> "FieldElement":
+    def sub(self, a: int, b: int) -> int:
+        return self.add(a, self.neg(b))
+
+    def mul(self, a: int, b: int) -> int:
+        if self.k == 1:
+            return a * b % self.p
+        if not a or not b:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
+
+    def inv(self, a: int) -> int:
+        if not a:
+            raise ZeroDivisionError("inverse of zero field element")
+        if self.k == 1:
+            return pow(a, -1, self.p)
+        return self._exp[self.q - 1 - self._log[a]]
+
+    def pow(self, a: int, e: int) -> int:
+        if not a:
+            if e < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return 0 if e else 1
+        if self.k == 1:
+            return pow(a, e, self.p)
+        return self._exp[self._log[a] * e % (self.q - 1)]
+
+    def gen(self) -> int:
         """The residue of x, written `a`; only extensions have one."""
         if self.k == 1:
             raise WrongFieldError("prime fields have no generator symbol")
-        return FieldElement(self, (0, 1) + (0,) * (self.k - 2))
+        return self.p
 
-    def elements(self) -> Iterator["FieldElement"]:
+    def elements(self) -> Iterator[int]:
         """All q elements, lexicographic on coefficient tuples, zero first."""
+        weights = [self.p ** i for i in range(self.k)]
         for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield FieldElement(self, coeffs)
+            yield sum(c * w for c, w in zip(coeffs, weights))
 
-    def __str__(self):
-        return f"GF({self.q})"
+    def coeffs(self, a: int) -> tuple:
+        """The coefficient vector (c0, ..., c_{k-1}) over GF(p) of a."""
+        return tuple(a // self.p ** i % self.p for i in range(self.k))
 
-
-class FieldElement:
-    """One element of a FieldSpec, stored as a reduced coefficient tuple."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: FieldSpec, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise FieldMismatchError(
-                    f"mixed fields: {self.field} and {other.field}")
-            return other
-        if isinstance(other, int):
-            return self.field.element(other)
-        raise TypeError(f"cannot combine field element with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        p = self.field.p
-        return FieldElement(self.field, tuple(
-            (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = self.field.p
-        return FieldElement(self.field, tuple((-a) % p for a in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        F = self.field
-        if F.k == 1:
-            return FieldElement(F, ((self.coeffs[0] * other.coeffs[0]) % F.p,))
-        prod = [0] * (2 * F.k - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = (prod[i + j] + a * b) % F.p
-        return FieldElement(F, _reduce_by_modulus(prod, F))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        F = self.field
-        if F.k == 1:
-            return FieldElement(F, (pow(self.coeffs[0], F.p - 2, F.p),))
-        return self ** (F.q - 2)
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
-
-    def __pow__(self, exp: int):
-        if not isinstance(exp, int):
-            raise TypeError("field exponent must be an int")
-        if exp < 0:
-            return self.inverse() ** (-exp)
-        result = self.field.one()
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.element(other)
-        if not isinstance(other, FieldElement):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coeffs))
-
-    def __str__(self):
-        F = self.field
-        if F.k == 1:
-            return str(self.coeffs[0])
+    def text(self, a: int) -> str:
+        """a as the parser reads it: a residue, or a sum of powers of `a`."""
+        if self.k == 1:
+            return str(a)
+        coeffs = self.coeffs(a)
         parts = []
-        for j in range(F.k - 1, -1, -1):
-            c = self.coeffs[j]
+        for j in range(self.k - 1, -1, -1):
+            c = coeffs[j]
             if not c:
                 continue
             if j == 0:
@@ -205,13 +152,44 @@ class FieldElement:
                 parts.append(var if c == 1 else f"{c}*{var}")
         return "+".join(parts) if parts else "0"
 
-    def __repr__(self):
-        return f"<{self} in {self.field}>"
+    def __str__(self):
+        return f"GF({self.q})"
 
 
-def _reduce_by_modulus(coeffs: list, F: FieldSpec) -> tuple:
+def _log_tables(p: int, k: int, modulus: tuple) -> tuple:
+    """(exp, log, zech) of GF(p^k) for its first primitive element in
+    packed order. Powers are built as coefficient lists, one schoolbook
+    multiplication by the candidate per power."""
+    q = p ** k
+    weights = [p ** i for i in range(k)]
+    for g in range(p, q):
+        gc = [(j, g // w % p) for j, w in enumerate(weights) if g // w % p]
+        exp, x = [1], [1]
+        while True:
+            prod = [0] * (len(x) + gc[-1][0])
+            for i, a in enumerate(x):
+                if a:
+                    for j, b in gc:
+                        prod[i + j] += a * b
+            x = _reduce_by_modulus(prod, p, k, modulus)
+            packed = sum(c * w for c, w in zip(x, weights))
+            if packed == 1:
+                break
+            exp.append(packed)
+        if len(exp) == q - 1:
+            break
+    else:
+        raise ValueError(f"modulus {modulus} has no primitive element")
+    log = [None] * q
+    for i, v in enumerate(exp):
+        log[v] = i
+    # 1 + v changes only the constant coefficient v % p
+    zech = [log[v - v % p + (v % p + 1) % p] for v in exp]
+    return exp + exp, log, zech
+
+
+def _reduce_by_modulus(coeffs: list, p: int, k: int, mod: tuple) -> tuple:
     """Reduce an ascending coefficient list mod the (monic) field modulus."""
-    p, k, mod = F.p, F.k, F.modulus
     for i in range(len(coeffs) - 1, k - 1, -1):
         c = coeffs[i] % p
         if c:
@@ -225,43 +203,39 @@ def _reduce_by_modulus(coeffs: list, F: FieldSpec) -> tuple:
 # Used for modulus validation and for the irreducible polynomials that drive
 # the spread construction. Divisors are assumed monic.
 
-def upoly_rem(num: Sequence[FieldElement], den: Sequence[FieldElement],
-              F: FieldSpec) -> tuple:
+def upoly_rem(num: Sequence[int], den: Sequence[int], F: FieldSpec) -> tuple:
     num = list(num)
     dd = len(den) - 1
     for i in range(len(num) - 1, dd - 1, -1):
         c = num[i]
         if c:
-            num[i] = F.zero()
+            num[i] = 0
             for j in range(dd):
-                num[i - dd + j] = num[i - dd + j] - c * den[j]
+                num[i - dd + j] = F.sub(num[i - dd + j], F.mul(c, den[j]))
     rem = num[:dd]
     while rem and not rem[-1]:
         rem.pop()
     return tuple(rem)
 
 
-def upoly_is_irreducible(coeffs: Sequence[FieldElement], F: FieldSpec) -> bool:
+def upoly_is_irreducible(coeffs: Sequence[int], F: FieldSpec) -> bool:
     """Exhaustive trial division by monic polynomials up to half the degree."""
     k = len(coeffs) - 1
     if k < 1:
         return False
     if k == 1:
         return True
-    one = F.one()
     for d in range(1, k // 2 + 1):
         for tail in itertools.product(list(F.elements()), repeat=d):
-            den = list(tail) + [one]
-            if not upoly_rem(coeffs, den, F):
+            if not upoly_rem(coeffs, tail + (1,), F):
                 return False
     return True
 
 
 def find_irreducible(F: FieldSpec, degree: int) -> tuple:
     """First monic irreducible of the given degree in enumeration order."""
-    one = F.one()
     for tail in itertools.product(list(F.elements()), repeat=degree):
-        cand = tuple(tail) + (one,)
+        cand = tail + (1,)
         if upoly_is_irreducible(cand, F):
             return cand
     raise ValueError(f"no irreducible of degree {degree} over {F}")  # unreachable
@@ -328,9 +302,7 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     if len(coeffs) != k + 1 or coeffs[-1] != 1:
         raise ValueError(
             f"modulus must be monic of degree {k}, got coefficients {coeffs}")
-    base = FieldSpec(p, 1, None, p)
-    wrapped = tuple(base.element(c) for c in coeffs)
-    if not upoly_is_irreducible(wrapped, base):
+    if not upoly_is_irreducible(coeffs, FieldSpec(p, 1, None, p)):
         raise ReducibleModulusError(
             f"modulus {coeffs} is reducible over GF({p})")
     return FieldSpec(p, k, tuple(coeffs), p ** k)

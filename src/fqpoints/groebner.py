@@ -32,6 +32,9 @@ from .mpoly import (
     mono_mul,
 )
 
+# Most S-pairs one buchberger() call handles before it gives up.
+MAX_PAIRS = 200_000
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -74,9 +77,9 @@ class GroebnerBasis:
 def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = mono_lcm(lf, lg)
-    cf, cg = f.terms[lf], g.terms[lg]
-    return (f.times_term(cf.inverse(), mono_div(lcm, lf))
-            - g.times_term(cg.inverse(), mono_div(lcm, lg)))
+    F = f.field
+    return (f.times_term(F.inv(f.terms[lf]), mono_div(lcm, lf))
+            - g.times_term(F.inv(g.terms[lg]), mono_div(lcm, lg)))
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
@@ -88,6 +91,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     monomial; any choice yields the same result once `basis` is a Groebner
     basis, and tests exercise that confluence directly.
     """
+    F = f.field
     basis = [g for g in basis if not g.is_zero()]
     lms = [g.leading_monomial(order) for g in basis]
     remainder = Polynomial.zero(f.field, f.nvars)
@@ -98,7 +102,7 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
         if candidates:
             i = candidates[0] if chooser is None else chooser(candidates)
             g = basis[i]
-            c = p.terms[lm] / g.terms[lms[i]]
+            c = F.mul(p.terms[lm], F.inv(g.terms[lms[i]]))
             p = p - g.times_term(c, mono_div(lm, lms[i]))
         else:
             lt = Polynomial(f.field, f.nvars, {lm: p.terms[lm]})
@@ -124,8 +128,7 @@ def _interreduce(polys: list, order: MonomialOrder) -> list:
     return reduced
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX,
-               max_pairs: int = 200_000) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
     """Buchberger with normal pair selection plus product and chain criteria."""
     G = []
     for g in ideal.gens:
@@ -137,9 +140,9 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX,
     handled = 0
     while pairs:
         handled += 1
-        if handled > max_pairs:
+        if handled > MAX_PAIRS:
             raise BudgetExceededError(
-                f"S-pair budget {max_pairs} exhausted ({len(G)} basis elements)")
+                f"S-pair budget {MAX_PAIRS} exhausted ({len(G)} basis elements)")
         i, j = min(pairs, key=lambda ij: (
             mono_degree(mono_lcm(lm[ij[0]], lm[ij[1]])),
             order.key(mono_lcm(lm[ij[0]], lm[ij[1]])), ij))

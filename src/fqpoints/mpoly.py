@@ -1,10 +1,12 @@
 """Sparse multivariate polynomials over a finite field.
 
 Monomials are exponent tuples; a polynomial maps exponent tuples to nonzero
-field elements. Two term orders are provided (lex and graded reverse lex,
-both with x0 > x1 > ...). The text grammar accepts +, -, *, ^ with
-parentheses, integer literals, variables x0..x{nvars-1}, and the extension
-generator `a`.
+field elements, the ints of `gf.FieldSpec`. Two term orders are provided
+(lex and graded reverse lex, both with x0 > x1 > ...). The text grammar
+accepts +, -, *, ^ with parentheses, integer literals (reduced mod p here
+and nowhere else), variables x0..x{nvars-1}, and the extension generator
+`a`. Each multiplication the parser makes is capped at TERM_WORK_CAP
+coefficient products, and each expanded power at DEGREE_CAP.
 """
 
 from __future__ import annotations
@@ -21,13 +23,16 @@ from .errors import (
     UnknownVariableError,
     WrongFieldError,
 )
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 
 Exps = tuple
 
 # Largest total degree the parser expands a power to; hilbert() caps the
 # range of its Hilbert function at the same value.
 DEGREE_CAP = 1000
+# Most coefficient products one multiplication in the parser may take; a
+# power is checked at each of its square-and-multiply steps.
+TERM_WORK_CAP = 300_000
 
 
 # --- monomial helpers ---
@@ -88,7 +93,7 @@ class Polynomial:
     def __init__(self, field: FieldSpec, nvars: int, terms: dict):
         self.field = field
         self.nvars = nvars
-        self.terms = terms  # Exps -> nonzero FieldElement
+        self.terms = terms  # Exps -> nonzero field element
 
     @classmethod
     def from_terms(cls, field: FieldSpec, nvars: int,
@@ -99,9 +104,8 @@ class Polynomial:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise DimensionMismatchError(
                     f"exponent tuple {exps} does not fit {nvars} variables")
-            coeff = field.element(coeff)
             cur = acc.get(exps)
-            coeff = coeff if cur is None else cur + coeff
+            coeff = coeff if cur is None else field.add(cur, coeff)
             if coeff:
                 acc[exps] = coeff
             elif exps in acc:
@@ -119,7 +123,7 @@ class Polynomial:
     @classmethod
     def variable(cls, field: FieldSpec, nvars: int, index: int) -> "Polynomial":
         exps = tuple(1 if j == index else 0 for j in range(nvars))
-        return cls(field, nvars, {exps: field.one()})
+        return cls(field, nvars, {exps: 1})
 
     # -- structure --
 
@@ -143,16 +147,14 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order.key)
 
-    def leading_coeff(self, order: MonomialOrder = GREVLEX) -> FieldElement:
+    def leading_coeff(self, order: MonomialOrder = GREVLEX) -> int:
         return self.terms[self.leading_monomial(order)]
 
     def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
         lc = self.leading_coeff(order)
-        if lc == self.field.one():
+        if lc == 1:
             return self
-        inv = lc.inverse()
-        return Polynomial(self.field, self.nvars,
-                          {e: c * inv for e, c in self.terms.items()})
+        return self.times_term(self.field.inv(lc), (0,) * self.nvars)
 
     # -- arithmetic --
 
@@ -164,10 +166,11 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        add = self.field.add
         acc = dict(self.terms)
         for e, c in other.terms.items():
             cur = acc.get(e)
-            s = c if cur is None else cur + c
+            s = c if cur is None else add(cur, c)
             if s:
                 acc[e] = s
             elif e in acc:
@@ -175,69 +178,52 @@ class Polynomial:
         return Polynomial(self.field, self.nvars, acc)
 
     def __neg__(self) -> "Polynomial":
+        neg = self.field.neg
         return Polynomial(self.field, self.nvars,
-                          {e: -c for e, c in self.terms.items()})
+                          {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (FieldElement, int)):
-            c = self.field.element(other)
-            if not c:
-                return Polynomial.zero(self.field, self.nvars)
-            return Polynomial(self.field, self.nvars,
-                              {e: v * c for e, v in self.terms.items()})
+    def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
+        add, mul = self.field.add, self.field.mul
         acc: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = mono_mul(e1, e2)
-                prod = c1 * c2
+                prod = mul(c1, c2)
                 cur = acc.get(e)
-                s = prod if cur is None else cur + prod
+                s = prod if cur is None else add(cur, prod)
                 if s:
                     acc[e] = s
                 elif e in acc:
                     del acc[e]
         return Polynomial(self.field, self.nvars, acc)
 
-    __rmul__ = __mul__
-
-    def times_term(self, coeff: FieldElement, exps: Exps) -> "Polynomial":
+    def times_term(self, coeff: int, exps: Exps) -> "Polynomial":
         """Multiply by coeff * x^exps in one pass."""
         if not coeff:
             return Polynomial.zero(self.field, self.nvars)
+        mul = self.field.mul
         return Polynomial(self.field, self.nvars,
-                          {mono_mul(e, exps): c * coeff
+                          {mono_mul(e, exps): mul(c, coeff)
                            for e, c in self.terms.items()})
-
-    def __pow__(self, exp: int) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("negative polynomial power")
-        result = Polynomial.constant(self.field, self.nvars, 1)
-        base = self
-        while exp:
-            if exp & 1:
-                result = result * base
-            base = base * base
-            exp >>= 1
-        return result
 
     # -- evaluation and substitution --
 
-    def evaluate(self, point: Sequence) -> FieldElement:
+    def evaluate(self, point: Sequence[int]) -> int:
         if len(point) != self.nvars:
             raise DimensionMismatchError(
                 f"point has {len(point)} coordinates, expected {self.nvars}")
-        vals = [self.field.element(c) for c in point]
-        total = self.field.zero()
+        F = self.field
+        total = 0
         for exps, coeff in self.terms.items():
             term = coeff
-            for v, e in zip(vals, exps):
+            for v, e in zip(point, exps):
                 if e:
-                    term = term * v ** e
-            total = total + term
+                    term = F.mul(term, F.pow(v, e))
+            total = F.add(total, term)
         return total
 
     def compose_linear(self, rows: Sequence[Sequence], new_nvars: int) -> "Polynomial":
@@ -288,7 +274,7 @@ class Polynomial:
                     factors.append(f"x{j}")
                 elif e > 1:
                     factors.append(f"x{j}^{e}")
-            ctext = str(coeff)
+            ctext = self.field.text(coeff)
             if "+" in ctext:
                 ctext = f"({ctext})"
             if not factors:
@@ -315,7 +301,7 @@ def linear_form(field: FieldSpec, vector: Sequence) -> Polynomial:
 
 def form_vector(f: Polynomial) -> tuple:
     """The coefficient vector of a linear form; inverse of linear_form."""
-    vec = [f.field.zero()] * f.nvars
+    vec = [0] * f.nvars
     for exps, c in f.terms.items():
         vec[exps.index(1)] = c
     return tuple(vec)
@@ -387,8 +373,18 @@ class _Parser:
         node = self.factor()
         while self.peek() == "*":
             self.take()
-            node = node * self.factor()
+            node = self.times(node, self.factor())
         return node
+
+    def times(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """a * b, refused before it starts when it would take more than
+        TERM_WORK_CAP coefficient products."""
+        if len(a.terms) * len(b.terms) > TERM_WORK_CAP:
+            raise BudgetExceededError(
+                f"product of {len(a.terms)} by {len(b.terms)} terms in "
+                f"{self.source!r} is over the cap of {TERM_WORK_CAP} "
+                f"term products")
+        return a * b
 
     def factor(self) -> Polynomial:
         if self.peek() == "-":
@@ -400,12 +396,20 @@ class _Parser:
             tok = self.take()
             if not (isinstance(tok, tuple) and tok[0] == "num"):
                 raise ParseError(f"exponent must be an integer in {self.source!r}")
+            exp = tok[1]
             # a monomial's power is one term; anything longer expands
-            if len(node.terms) > 1 and node.degree() * tok[1] > DEGREE_CAP:
+            if len(node.terms) > 1 and node.degree() * exp > DEGREE_CAP:
                 raise BudgetExceededError(
-                    f"power of degree {node.degree() * tok[1]} in "
+                    f"power of degree {node.degree() * exp} in "
                     f"{self.source!r} is over the cap {DEGREE_CAP}")
-            node = node ** tok[1]
+            result = Polynomial.constant(self.field, self.nvars, 1)
+            while exp:
+                if exp & 1:
+                    result = self.times(result, node)
+                exp >>= 1
+                if exp:
+                    node = self.times(node, node)
+            node = result
         return node
 
     def base(self) -> Polynomial:
@@ -417,8 +421,9 @@ class _Parser:
             return node
         if isinstance(tok, tuple):
             kind, val = tok
-            if kind == "num":
-                return Polynomial.constant(self.field, self.nvars, val)
+            if kind == "num":  # the one place an int literal is reduced
+                return Polynomial.constant(self.field, self.nvars,
+                                           val % self.field.p)
             if kind == "var":
                 if not 0 <= val < self.nvars:
                     raise UnknownVariableError(
@@ -494,17 +499,14 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
     return out
 
 
-def enumerate_forms(field: FieldSpec, nvars: int, degree: int,
-                    up_to_scalar: bool = True) -> Iterator[Polynomial]:
-    """All nonzero degree-d forms; with up_to_scalar the first nonzero
-    coefficient (in monomial order) is normalized to 1."""
+def enumerate_forms(field: FieldSpec, nvars: int,
+                    degree: int) -> Iterator[Polynomial]:
+    """All nonzero degree-d forms up to scalars: the first nonzero
+    coefficient (in monomial order) is 1."""
     monos = monomials_of_degree(nvars, degree)
     els = list(field.elements())
-    one = field.one()
     for lead in range(len(monos)):
-        leads = [one] if up_to_scalar else [e for e in els if e]
-        for lead_c in leads:
-            for tail in itertools.product(els, repeat=len(monos) - lead - 1):
-                coeffs = (field.zero(),) * lead + (lead_c,) + tail
-                yield Polynomial(field, nvars,
-                                 {m: c for m, c in zip(monos, coeffs) if c})
+        for tail in itertools.product(els, repeat=len(monos) - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            yield Polynomial(field, nvars,
+                             {m: c for m, c in zip(monos, coeffs) if c})

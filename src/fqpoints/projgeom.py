@@ -15,7 +15,7 @@ import itertools
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadPointError, InconsistentFiltersError
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .mpoly import linear_form, parse_poly
 
 
@@ -31,10 +31,9 @@ def pi(j: int, q: int) -> int:
 def _normalized_tuples(field: FieldSpec, length: int) -> Iterator[tuple]:
     """All length-tuples with first nonzero entry 1, leading-1 position first."""
     els = list(field.elements())
-    zero, one = field.zero(), field.one()
     for lead in range(length):
         for tail in itertools.product(els, repeat=length - lead - 1):
-            yield (zero,) * lead + (one,) + tail
+            yield (0,) * lead + (1,) + tail
 
 
 class ProjectivePoint:
@@ -47,13 +46,12 @@ class ProjectivePoint:
         self.coords = coords
 
     @classmethod
-    def from_coords(cls, field: FieldSpec, coords: Sequence) -> "ProjectivePoint":
-        vals = [field.element(c) for c in coords]
-        lead = next((v for v in vals if v), None)
+    def from_coords(cls, field: FieldSpec, coords: Sequence[int]) -> "ProjectivePoint":
+        lead = next((v for v in coords if v), None)
         if lead is None:
             raise BadPointError("projective point needs a nonzero coordinate")
-        inv = lead.inverse()
-        return cls(field, tuple(v * inv for v in vals))
+        inv = field.inv(lead)
+        return cls(field, tuple(field.mul(v, inv) for v in coords))
 
     @property
     def n(self) -> int:
@@ -68,7 +66,7 @@ class ProjectivePoint:
         return hash((self.field, self.coords))
 
     def __str__(self):
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
+        return "(" + ":".join(self.field.text(c) for c in self.coords) + ")"
 
     def __repr__(self):
         return f"<point {self} over {self.field}>"
@@ -81,14 +79,8 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> ProjectivePoint:
     parts = [part.strip() for part in s.split(sep)]
     if len(parts) != n + 1:
         raise BadPointError(f"expected {n + 1} coordinates, got {len(parts)}")
-    coords = []
-    for part in parts:
-        if part.lstrip("-").isdigit():
-            coords.append(field.element(int(part)))
-        else:
-            # allow generator expressions like a+1 through the poly parser
-            c = parse_poly(part, field, 1)
-            coords.append(c.evaluate([field.zero()]))
+    # each coordinate is a constant expression such as 2, -1 or a+1
+    coords = [parse_poly(part, field, 1).evaluate((0,)) for part in parts]
     return ProjectivePoint.from_coords(field, coords)
 
 
@@ -102,13 +94,18 @@ def enumerate_points(n: int, field: FieldSpec) -> Iterator[ProjectivePoint]:
 
 # --- exact linear algebra over a FieldSpec ---
 
-def _dot(w: Sequence[FieldElement], v: Sequence) -> FieldElement:
-    """sum_i w_i * v_i: the linear form w evaluated at the vector v. Zero
-    entries are skipped; normalized forms and points have many."""
-    return sum((a * b for a, b in zip(w, v) if a and b), w[0].field.zero())
+def _dot(field: FieldSpec, w: Sequence[int], v: Sequence[int]) -> int:
+    """sum_i w_i * v_i: the linear form w evaluated at the vector v."""
+    if field.k == 1:
+        return sum(a * b for a, b in zip(w, v)) % field.p
+    total = 0
+    for a, b in zip(w, v):
+        if a and b:  # normalized forms and points have many zeros
+            total = field.add(total, field.mul(a, b))
+    return total
 
 
-def rref(rows: Sequence[Sequence[FieldElement]], field: FieldSpec):
+def rref(rows: Sequence[Sequence[int]], field: FieldSpec):
     """(reduced row echelon rows without zero rows, pivot column list)."""
     mat = [list(r) for r in rows]
     ncols = len(mat[0]) if mat else 0
@@ -119,12 +116,13 @@ def rref(rows: Sequence[Sequence[FieldElement]], field: FieldSpec):
         if sel is None:
             continue
         mat[r], mat[sel] = mat[sel], mat[r]
-        inv = mat[r][c].inverse()
-        mat[r] = [v * inv for v in mat[r]]
+        inv = field.inv(mat[r][c])
+        mat[r] = [field.mul(v, inv) for v in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][c]:
                 f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+                mat[i] = [field.sub(a, field.mul(f, b))
+                          for a, b in zip(mat[i], mat[r])]
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -136,18 +134,17 @@ def rank(rows, field: FieldSpec) -> int:
     return len(rref(rows, field)[0])
 
 
-def nullspace(rows: Sequence[Sequence[FieldElement]], field: FieldSpec,
+def nullspace(rows: Sequence[Sequence[int]], field: FieldSpec,
               ncols: int) -> list:
     """RREF basis of {v : M v = 0} for the row matrix M."""
     red, pivots = rref(rows, field) if rows else ([], [])
     free = [c for c in range(ncols) if c not in pivots]
-    zero, one = field.zero(), field.one()
     basis = []
     for f in free:
-        vec = [zero] * ncols
-        vec[f] = one
+        vec = [0] * ncols
+        vec[f] = 1
         for i, pc in enumerate(pivots):
-            vec[pc] = -red[i][f]
+            vec[pc] = field.neg(red[i][f])
         basis.append(tuple(vec))
     if not basis:
         return []
@@ -166,19 +163,18 @@ class LinearSubspace:
         self._dual = None
 
     @classmethod
-    def from_spanning(cls, field: FieldSpec, rows: Sequence[Sequence]) -> "LinearSubspace":
-        wrapped = [[field.element(c) for c in row] for row in rows]
-        if not wrapped:
+    def from_spanning(cls, field: FieldSpec, rows: Sequence[Sequence[int]]) -> "LinearSubspace":
+        if not rows:
             raise ValueError("need at least one spanning row")
-        n = len(wrapped[0]) - 1
-        red, _ = rref(wrapped, field)
+        n = len(rows[0]) - 1
+        red, _ = rref(rows, field)
         if not red:
             raise ValueError("spanning rows are all zero")
         return cls(field, n, tuple(red))
 
     @classmethod
-    def from_dual_form(cls, field: FieldSpec, form: Sequence) -> "LinearSubspace":
-        w = tuple(field.element(c) for c in form)
+    def from_dual_form(cls, field: FieldSpec, form: Sequence[int]) -> "LinearSubspace":
+        w = tuple(form)
         sol = nullspace([w], field, len(w))
         out = cls(field, len(w) - 1, tuple(sol))
         out._dual = (w,)
@@ -197,18 +193,19 @@ class LinearSubspace:
     def contains(self, point) -> bool:
         """Every dual form vanishes at the point (or coordinate vector)."""
         coords = point.coords if isinstance(point, ProjectivePoint) else point
-        return not any(_dot(w, coords) for w in self.dual_forms())
+        return not any(_dot(self.field, w, coords) for w in self.dual_forms())
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains(row) for row in other.rows)
 
     def points(self) -> Iterator[ProjectivePoint]:
-        for combo in _normalized_tuples(self.field, len(self.rows)):
-            coords = [self.field.zero()] * (self.n + 1)
+        F = self.field
+        for combo in _normalized_tuples(F, len(self.rows)):
+            coords = [0] * (self.n + 1)
             for c, row in zip(combo, self.rows):
                 if c:
-                    coords = [a + c * b for a, b in zip(coords, row)]
-            yield ProjectivePoint(self.field, tuple(coords))
+                    coords = [F.add(a, F.mul(c, b)) for a, b in zip(coords, row)]
+            yield ProjectivePoint(F, tuple(coords))
 
     def intersection(self, other: "LinearSubspace") -> Optional["LinearSubspace"]:
         """The intersection subspace, or None when it is empty."""
@@ -237,7 +234,8 @@ class LinearSubspace:
 
     def __repr__(self):
         basis = "; ".join(
-            "(" + ",".join(str(c) for c in row) + ")" for row in self.rows)
+            "(" + ",".join(self.field.text(c) for c in row) + ")"
+            for row in self.rows)
         return f"<subspace dim {self.dim} of P^{self.n}: {basis}>"
 
 
@@ -257,9 +255,9 @@ def enumerate_hyperplanes(n: int, field: FieldSpec,
             raise InconsistentFiltersError(
                 "through-point must lie on the subspace being excluded")
     for w in _normalized_tuples(field, n + 1):
-        if through is not None and _dot(w, through.coords):
+        if through is not None and _dot(field, w, through.coords):
             continue
         if excluding_containing is not None and not any(
-                _dot(w, row) for row in excluding_containing.rows):
+                _dot(field, w, row) for row in excluding_containing.rows):
             continue
         yield LinearSubspace.from_dual_form(field, w)

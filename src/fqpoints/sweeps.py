@@ -13,8 +13,11 @@ The forms of degree d on P^n are the codewords of the projective
 Reed-Muller code PRM_q(d, n), and a form's point count is |P^n| minus the
 weight of its codeword. The hypersurface sweep walks them incrementally:
 consecutive forms differ in a few coefficients, so each form costs |P^n|
-table lookups per changed coefficient instead of a fresh evaluation at
-every point.
+list lookups per changed coefficient instead of a fresh evaluation at
+every point. Field elements are the ints of `gf.FieldSpec`; the sweep
+reaches their coefficients over GF(p) only through `FieldSpec.coeffs`, and
+re-encodes them so that one lookup adds two values: it needs no q x q
+table and makes no call per point.
 """
 
 from .bounds import (
@@ -47,41 +50,40 @@ def _row(kind, n, q, bound, count="", tight="", dims="", degs="",
 def _zero_counts(field: FieldSpec, n: int, degree: int):
     """Point counts on P^n of the forms `enumerate_forms` yields, in its order.
 
-    Field elements are encoded as their index in `field.elements()`, so
-    zero is 0. The values of the current form at the points are held in
-    one list; when the coefficient of monomial u goes from a to b, the
-    column of u scaled by b - a is added to it. A scaled column is built
-    the first time its step b - a occurs. In the odometer order of the
-    forms only a few distinct steps occur (at most three over a prime
-    field, five over GF(4), GF(8), GF(9) and GF(16)), so the q^2
-    additions of the add table are the main set-up cost.
+    A value is held as its coefficient vector over GF(p), as `field.coeffs`
+    gives it, written in base 2p - 1: the sum of two such encodings has
+    every digit below 2p - 1, so it never carries, and one lookup in
+    `reduce`, which takes each digit mod p, turns it back into the
+    encoding of the field sum. Zero encodes as 0. When the coefficient of
+    monomial u goes from a to b, the column of u scaled by b - a is added
+    to the values at the points, one `reduce[v + s]` pass. A scaled column
+    is built the first time its step b - a occurs. In the odometer order
+    of the forms only a few distinct steps occur (at most three over a
+    prime field, five over GF(4), GF(8), GF(9) and GF(16)).
     """
-    els = list(field.elements())
-    index = {e.coeffs: i for i, e in enumerate(els)}
-    add = [[index[(a + b).coeffs] for b in els] for a in els]
-    neg = [index[(-a).coeffs] for a in els]
-    nvars = n + 1
+    p, base, nvars = field.p, 2 * field.p - 1, n + 1
+    weights = [base ** i for i in range(field.k)]
+    reduce = [sum(x // w % base % p * w for w in weights)
+              for x in range(base ** field.k)]
     points = [P.coords for P in enumerate_points(n, field)]
-    one = field.one()
-    columns = {u: [Polynomial(field, nvars, {u: one}).evaluate(P)
+    columns = {u: [Polynomial(field, nvars, {u: 1}).evaluate(P)
                    for P in points]
                for u in monomials_of_degree(nvars, degree)}
-    scaled = {}  # (u, c): the column of u times els[c]
+    scaled = {}  # (u, c): the encoded column of u times c
 
     vals = [0] * len(points)
     held = {}
     for f in enumerate_forms(field, nvars, degree):
-        new = {u: index[c.coeffs] for u, c in f.terms.items()}
-        changed = {u for u, _ in new.items() ^ held.items()}
-        for u in changed:
-            key = (u, add[new.get(u, 0)][neg[held.get(u, 0)]])
+        for u in {u for u, _ in f.terms.items() ^ held.items()}:
+            key = (u, field.sub(f.terms.get(u, 0), held.get(u, 0)))
             step = scaled.get(key)
             if step is None:
-                c = els[key[1]]
-                step = scaled[key] = [index[(c * v).coeffs]
-                                      for v in columns[u]]
-            vals = [add[v][s] for v, s in zip(vals, step)]
-        held = new
+                step = scaled[key] = [
+                    sum(d * w for d, w in zip(
+                        field.coeffs(field.mul(key[1], v)), weights))
+                    for v in columns[u]]
+            vals = [reduce[v + s] for v, s in zip(vals, step)]
+        held = f.terms
         yield vals.count(0)
 
 

@@ -386,12 +386,11 @@ class AffineChart:
         """Independent recount: evaluate the affine equations over F^n."""
         if self.field.q ** self.n > budget:
             raise BudgetExceededError("affine enumeration over budget")
-        zero = self.field.zero()
         els = list(self.field.elements())
         count = 0
         for point in itertools.product(els, repeat=self.n):
             for comp in self.components_off:
-                if all(g.evaluate(point) == zero for g in comp.gens):
+                if not any(g.evaluate(point) for g in comp.gens):
                     count += 1
                     break
         return count
@@ -408,13 +407,13 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
         form = h
     if form.is_zero() or form.degree() != 1 or not form.homogeneous:
         raise ValueError("chart needs a nonzero linear form")
-    nvars = X.n + 1
+    F, nvars = X.field, X.n + 1
     w = form_vector(form)
     pivot = next(i for i, c in enumerate(w) if c)
-    inv = w[pivot].inverse()
+    inv = F.inv(w[pivot])
     # substitution x_j <- row_j(y) with l(x(y)) = y_pivot
     rows = [[int(m == j) for m in range(nvars)] for j in range(nvars)]
-    rows[pivot] = [-(c * inv) for c in w]
+    rows[pivot] = [F.neg(F.mul(c, inv)) for c in w]
     rows[pivot][pivot] = inv
     off, on = [], []
     for comp in X.components:
@@ -426,7 +425,7 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
             for g in comp.ideal.gens)
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)
-    section = sum(1 for P in pts if not _dot(w, P.coords))
+    section = sum(1 for P in pts if not _dot(F, w, P.coords))
     return AffineChart(X.field, X.n, form, pivot, tuple(off), tuple(on),
                        len(pts), section, len(pts) - section)
 

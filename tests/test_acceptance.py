@@ -181,8 +181,7 @@ def test_criterion_7_incidence_census():
         if not any(coeffs):
             continue
         f = Polynomial.from_terms(
-            field, 4, [(m, field.element(c))
-                       for m, c in zip(monos, coeffs) if c])
+            field, 4, [(m, c) for m, c in zip(monos, coeffs) if c])
         doc = f"field p=2 k=1\nspace n=3\ncomponent name=S\npoly {f}\n"
         X = load_variety(doc)
         pts = rational_points(X)

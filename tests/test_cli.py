@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -204,3 +205,16 @@ def test_expanded_power_over_the_degree_cap_exits_2(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: power of degree 100000 in '(x0+x1)^100000' "
                    "is over the cap 1000\n")
+
+
+def test_power_over_the_term_work_cap_exits_2_quickly(capsys, tmp_path):
+    # within the degree cap, but about 235k terms mod 101 once expanded
+    path = tmp_path / "terms.var"
+    path.write_text("field p=101 k=1\nspace n=2\ncomponent name=a\n"
+                    "poly (x0+x1+x2)^1000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["hilbert", "--variety", str(path)])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: product of ")
+    assert "'(x0+x1+x2)^1000' is over the cap of 300000 term products" in err

@@ -53,10 +53,9 @@ def test_point_enumeration_order_p1_f2():
 def test_point_enumeration_distinct_and_normalized():
     pts = list(enumerate_points(2, GF4))
     assert len(pts) == len(set(pts)) == pi(2, 4) == 21
-    one = GF4.one()
     for P in pts:
         lead = next(c for c in P.coords if c)
-        assert lead == one
+        assert lead == 1
 
 
 def test_point_normalization_and_equality():
@@ -69,17 +68,16 @@ def test_point_normalization_and_equality():
 
 def test_point_from_text():
     P = point_from_text("(1:0:1)", GF2, 2)
-    assert P.coords == (GF2.one(), GF2.zero(), GF2.one())
+    assert P.coords == (1, 0, 1)
     assert point_from_text("1,0,1", GF2, 2) == P
     Q = point_from_text("(a:1)", GF4, 1)
-    assert Q == ProjectivePoint.from_coords(GF4, [GF4.gen(), GF4.one()])
+    assert Q == ProjectivePoint.from_coords(GF4, [GF4.gen(), 1])
     with pytest.raises(ValueError):
         point_from_text("(1:0)", GF2, 2)
 
 
 def test_rref_and_rank():
-    one, zero = GF2.one(), GF2.zero()
-    rows = [[one, one, zero], [zero, one, one], [one, zero, one]]
+    rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     red, pivots = rref(rows, GF2)
     assert len(red) == 2 and pivots == [0, 1]
     assert rank(rows, GF2) == 2
@@ -87,10 +85,7 @@ def test_rref_and_rank():
     assert len(ns) == 1
     v = ns[0]
     for row in rows:
-        acc = zero
-        for a, b in zip(row, v):
-            acc = acc + a * b
-        assert acc == zero
+        assert _dot(row, v, GF2) == 0
 
 
 def test_subspace_canonical_equality():
@@ -123,9 +118,9 @@ def test_dual_forms_vanish_exactly_on_subspace():
 
 
 def _dot(w, coords, F):
-    acc = F.zero()
+    acc = 0
     for a, b in zip(w, coords):
-        acc = acc + a * b
+        acc = F.add(acc, F.mul(a, b))
     return acc
 
 
@@ -134,7 +129,7 @@ def test_intersection_and_span():
     line = LinearSubspace.from_spanning(GF2, [[0, 0, 1, 0], [0, 0, 0, 1]])
     meet = plane.intersection(line)
     assert meet is not None and meet.dim == 0
-    assert meet.rows[0] == (GF2.zero(), GF2.zero(), GF2.one(), GF2.zero())
+    assert meet.rows[0] == (0, 0, 1, 0)
     skew1 = LinearSubspace.from_spanning(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     skew2 = LinearSubspace.from_spanning(GF2, [[0, 0, 1, 0], [0, 0, 0, 1]])
     assert skew1.intersection(skew2) is None
@@ -207,5 +202,5 @@ def test_form_polynomials_match_membership():
     sub = LinearSubspace.from_spanning(GF3, [[1, 0, 2, 0], [0, 1, 1, 1]])
     polys = sub.form_polynomials()
     for P in enumerate_points(3, GF3):
-        vanishes = all(f.evaluate(P.coords) == GF3.zero() for f in polys)
+        vanishes = all(f.evaluate(P.coords) == 0 for f in polys)
         assert vanishes == sub.contains(P)

@@ -70,9 +70,8 @@ def test_count_on_raw_ideal():
 def test_rational_points_are_distinct_and_on_x(twisted_cubic):
     pts = rational_points(twisted_cubic)
     assert len(pts) == len(set(pts)) == 3
-    zero = twisted_cubic.field.zero()
     for P in pts:
-        assert all(g.evaluate(P.coords) == zero
+        assert all(g.evaluate(P.coords) == 0
                    for g in twisted_cubic.components[0].ideal.gens)
 
 
@@ -284,7 +283,7 @@ def test_frobenius_permutes_points_of_subfield_variety():
     from fqpoints.projgeom import ProjectivePoint
     for P in pts:
         image = ProjectivePoint.from_coords(
-            X.field, [c * c for c in P.coords])
+            X.field, [X.field.mul(c, c) for c in P.coords])
         assert image in pts
 
 

@@ -61,28 +61,29 @@ def main():
         count = flower.point_count()
         bound = bound_equidimensional(n, q, 2, 3).total
         print(f"flower of 3 planes in P^4(F_{q}): {count} points, "
-              f"bound {bound}, core dim {flower.core_dim}")
+              f"bound {bound}, core dim {flower.core.dim}")
         assert count == bound
 
     # mixed dimensions: a plane and a line in P^3, arranged extremally
     arr = build_extremal_arrangement([2, 1], 3, F2)
     arr.validate()
     target = bound_linear_arrangement([2, 1], 3, 2)
-    print(f"arrangement dims [2, 1] in P^3(F_2): {arr.count} points, "
+    print(f"arrangement dims [2, 1] in P^3(F_2): {arr.point_count()} points, "
           f"bound {target.total}, gap below the general bound "
           f"{target.extra['gap_below_projective']}")
-    assert arr.count == target.total
+    assert arr.point_count() == target.total
 
     # the same arrangement is loadable as a variety document and the
     # point count survives the round trip
     X = load_variety(arr.to_variety_doc())
-    assert count_points(X).value == arr.count
+    assert count_points(X).value == arr.point_count()
     print("variety-document round trip recounts the same total. ok")
 
     # concurrent lines in the plane: q + 1 of them through one point
     # exhaust P^2
     pencil = build_extremal_arrangement([1, 1, 1], 2, F2)
-    print(f"3 concurrent lines in P^2(F_2): {pencil.count} = pi(2) = {pi(2, 2)}")
+    print(f"3 concurrent lines in P^2(F_2): {pencil.point_count()} "
+          f"= pi(2) = {pi(2, 2)}")
     try:
         build_extremal_arrangement([1, 1, 1, 1], 2, F2)
     except InfeasibleError as e:

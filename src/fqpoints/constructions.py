@@ -1,17 +1,17 @@
 """Builders for extremal unions of linear subspaces.
 
-Three shapes: partial spreads (pairwise disjoint d-subspaces, needs 2d < n),
-flowers (d-subspaces pairwise meeting in a fixed common core, needs n <= 2d),
-and mixed-dimension arrangements whose point count meets the arrangement
-bound exactly. Every builder re-checks its output with exact rank arithmetic
-and, at desk scale, by enumerating the union.
+Every builder returns a `LinearUnion`: partial spreads (pairwise disjoint
+d-subspaces, needs 2d < n), flowers (d-subspaces pairwise meeting in a fixed
+common core, needs n <= 2d), and mixed-dimension arrangements. All three
+are arrangements in extremal position, so each meets the arrangement bound
+exactly. Every builder re-checks its output with exact rank arithmetic and,
+at desk scale, by enumerating the union.
 """
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .bounds import bound_linear_arrangement
 from .errors import InfeasibleError, InvalidSpecError
 from .gf import FieldSpec, find_irreducible, upoly_rem
 from .projgeom import LinearSubspace, pi, rank
@@ -28,9 +28,9 @@ def _unit_row(length: int, position: int) -> list:
     return row
 
 
-def _subspace_disjoint(a: LinearSubspace, b: LinearSubspace) -> bool:
-    stacked = list(a.rows) + list(b.rows)
-    return rank(stacked, a.field) == len(a.rows) + len(b.rows)
+def _meet_dim(a: LinearSubspace, b: LinearSubspace) -> int:
+    """Dimension of the intersection, -1 when it is empty."""
+    return a.dim + b.dim + 1 - rank(a.rows + b.rows, a.field)
 
 
 def _union_point_count(members: Sequence[LinearSubspace]) -> int:
@@ -68,25 +68,37 @@ def _modulus_text(field: FieldSpec) -> str:
     return "+".join(parts)
 
 
-def _variety_doc(field: FieldSpec, n: int, members) -> str:
-    """A loadable variety document with one linear component per member."""
-    head = f"field p={field.p} k={field.k}"
-    if field.k > 1:
-        head += f" modulus={_modulus_text(field)}"
-    lines = [head, f"space n={n}"]
-    for i, m in enumerate(members, start=1):
-        lines.append(f"component name=L{i} dim={m.dim} deg=1 irreducible=yes")
-        lines.extend(f"poly {f}" for f in m.form_polynomials())
-    return "\n".join(lines) + "\n"
+def _extremal_after(first: LinearSubspace, earlier: Sequence[LinearSubspace],
+                    cand: LinearSubspace, n: int) -> bool:
+    """cand meets `first` in dimension max(d0 + d - n, -1), the least P^n
+    allows, and meets each of `earlier` only inside `first`."""
+    if _meet_dim(first, cand) != max(first.dim + cand.dim - n, -1):
+        return False
+    return all(_meet_dim(prev, cand) < 0
+               or first.contains_subspace(prev.intersection(cand))
+               for prev in earlier)
 
 
 @dataclass(frozen=True)
-class SpreadSpec:
-    """r pairwise-disjoint d-subspaces of P^n. Invariant: 2d < n."""
+class LinearUnion:
+    """A union of linear subspaces of P^n in extremal position.
 
+    Every later member meets members[0] in the least dimension P^n allows,
+    max(d0 + di - n, -1), and two later members meet only inside members[0].
+    The union then has pi(d0) + sum_{i>=1} (pi(di) - pi(d0 + di - n)) points,
+    the arrangement bound. kind "spread": all dims d with 2d < n, so the
+    members are pairwise disjoint. kind "flower": all dims d with
+    d < n <= 2d, every member through the (2d - n)-dimensional core, so any
+    two meet exactly there. kind "arrangement": dims decreasing."""
+
+    kind: str
     n: int
-    d: int
     members: tuple
+    core: Optional[LinearSubspace] = None
+
+    @property
+    def dims(self) -> tuple:
+        return tuple(m.dim for m in self.members)
 
     @property
     def field(self) -> FieldSpec:
@@ -98,153 +110,65 @@ class SpreadSpec:
 
     def validate(self) -> None:
         if not self.members:
-            raise InvalidSpecError("spread has no members")
-        if 2 * self.d >= self.n:
-            raise InvalidSpecError(
-                f"spread needs 2d < n, got d={self.d} n={self.n}")
-        for m in self.members:
-            if m.dim != self.d or m.n != self.n:
-                raise InvalidSpecError("member shape mismatch")
-        for a, b in itertools.combinations(self.members, 2):
-            if not _subspace_disjoint(a, b):
-                raise InvalidSpecError("members intersect")
-
-    def point_count(self) -> int:
-        return len(self.members) * pi(self.d, self.q)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "spread", "n": self.n, "d": self.d, "q": self.q,
-            "field": _field_json(self.field),
-            "members": [_rows_json(m) for m in self.members],
-            "count": self.point_count(),
-        }
-
-    def to_variety_doc(self) -> str:
-        return _variety_doc(self.field, self.n, self.members)
-
-
-@dataclass(frozen=True)
-class FlowerSpec:
-    """r d-subspaces of P^n pairwise meeting exactly in a (2d-n)-core."""
-
-    n: int
-    d: int
-    core: LinearSubspace
-    petals: tuple
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.core.field
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    @property
-    def core_dim(self) -> int:
-        return 2 * self.d - self.n
-
-    def validate(self) -> None:
-        if len(self.petals) < 2:
-            raise InvalidSpecError("flower needs at least two petals")
-        if not (self.d < self.n <= 2 * self.d):
-            raise InvalidSpecError(
-                f"flower needs d < n <= 2d, got d={self.d} n={self.n}")
-        if self.core.dim != self.core_dim:
-            raise InvalidSpecError("core dimension is off")
-        for petal in self.petals:
-            if petal.dim != self.d or petal.n != self.n:
-                raise InvalidSpecError("petal shape mismatch")
-            if not petal.contains_subspace(self.core):
+            raise InvalidSpecError(f"{self.kind} has no members")
+        if self.kind not in ("spread", "flower", "arrangement"):
+            raise InvalidSpecError(f"unknown union kind {self.kind!r}")
+        n, dims = self.n, self.dims
+        d = dims[0]
+        if any(m.n != n for m in self.members):
+            raise InvalidSpecError("member shape mismatch")
+        if self.kind == "arrangement":
+            if any(a < b for a, b in zip(dims, dims[1:])):
+                raise InvalidSpecError("dims must be sorted decreasing")
+        elif any(e != d for e in dims):
+            raise InvalidSpecError("member shape mismatch")
+        if self.kind == "spread" and 2 * d >= n:
+            raise InvalidSpecError(f"spread needs 2d < n, got d={d} n={n}")
+        if self.kind == "flower":
+            if not d < n <= 2 * d:
+                raise InvalidSpecError(
+                    f"flower needs d < n <= 2d, got d={d} n={n}")
+            if self.core is None or self.core.dim != 2 * d - n:
+                raise InvalidSpecError("core dimension is off")
+            if not all(m.contains_subspace(self.core) for m in self.members):
                 raise InvalidSpecError("petal misses the core")
-        for a, b in itertools.combinations(self.petals, 2):
-            inter = a.intersection(b)
-            if inter is None or inter.rows != self.core.rows:
-                raise InvalidSpecError("petals do not meet exactly in the core")
-
-    def point_count(self) -> int:
-        r, c = len(self.petals), self.core_dim
-        return r * (pi(self.d, self.q) - pi(c, self.q)) + pi(c, self.q)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "flower", "n": self.n, "d": self.d,
-            "core_dim": self.core_dim, "q": self.q,
-            "field": _field_json(self.field),
-            "core": _rows_json(self.core),
-            "petals": [_rows_json(p) for p in self.petals],
-            "count": self.point_count(),
-        }
-
-    def to_variety_doc(self) -> str:
-        return _variety_doc(self.field, self.n, self.petals)
-
-
-@dataclass(frozen=True)
-class ArrangementSpec:
-    """Mixed-dimension union meeting the arrangement bound with equality.
-
-    Behaves as a sequence of LinearSubspace; members[0] is the largest."""
-
-    n: int
-    dims: tuple
-    members: tuple
-    count: int
-
-    def __iter__(self) -> Iterator[LinearSubspace]:
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __getitem__(self, i):
-        return self.members[i]
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.members[0].field
-
-    @property
-    def q(self) -> int:
-        return self.field.q
-
-    def validate(self) -> None:
         first = self.members[0]
-        if tuple(m.dim for m in self.members) != self.dims:
-            raise InvalidSpecError("member dimensions disagree with dims")
-        if any(self.dims[i] < self.dims[i + 1]
-               for i in range(len(self.dims) - 1)):
-            raise InvalidSpecError("dims must be sorted decreasing")
-        for i, m in enumerate(self.members[1:], start=2):
-            floor = self.dims[0] + m.dim - self.n
-            inter = first.intersection(m)
-            got = -1 if inter is None else inter.dim
-            if got < floor:
-                raise InvalidSpecError("intersection dimension below floor")
-            if got != max(floor, -1):
+        for i, m in enumerate(self.members[1:], start=1):
+            if not _extremal_after(first, self.members[1:i], m, n):
                 raise InvalidSpecError(
-                    f"member {i} meets the first in dimension {got}, "
-                    f"needs {max(floor, -1)} to stay extremal")
-        for a, b in itertools.combinations(self.members[1:], 2):
-            inter = a.intersection(b)
-            if inter is not None and not first.contains_subspace(inter):
-                raise InvalidSpecError(
-                    "later members overlap outside the first")
+                    f"member {i} is not in extremal position")
 
     def point_count(self) -> int:
-        return self.count
+        d0, q = self.dims[0], self.q
+        return pi(d0, q) + sum(pi(d, q) - pi(d0 + d - self.n, q)
+                               for d in self.dims[1:])
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "arrangement", "n": self.n, "dims": list(self.dims),
-            "q": self.q, "field": _field_json(self.field),
-            "members": [_rows_json(m) for m in self.members],
-            "count": self.count,
-        }
+        out = {"kind": self.kind, "n": self.n, "q": self.q,
+               "field": _field_json(self.field),
+               "members": [_rows_json(m) for m in self.members],
+               "count": self.point_count()}
+        if self.kind == "arrangement":
+            out["dims"] = list(self.dims)
+            return out
+        out["d"] = self.dims[0]
+        if self.kind == "flower":
+            out["core_dim"] = self.core.dim
+            out["core"] = _rows_json(self.core)
+            out["petals"] = out.pop("members")
+        return out
 
     def to_variety_doc(self) -> str:
-        return _variety_doc(self.field, self.n, self.members)
+        """A loadable variety document with one linear component per member."""
+        field = self.field
+        head = f"field p={field.p} k={field.k}"
+        if field.k > 1:
+            head += f" modulus={_modulus_text(field)}"
+        lines = [head, f"space n={self.n}"]
+        for i, m in enumerate(self.members, start=1):
+            lines.append(f"component name=L{i} dim={m.dim} deg=1 irreducible=yes")
+            lines.extend(f"poly {f}" for f in m.form_polynomials())
+        return "\n".join(lines) + "\n"
 
 
 def _mul_matrix(field: FieldSpec, modulus, lam, m: int) -> list:
@@ -295,7 +219,7 @@ def enumerate_subspaces(n: int, dim: int, field: FieldSpec
 
 
 def build_partial_spread(n: int, d: int, r: int,
-                         field: FieldSpec) -> SpreadSpec:
+                         field: FieldSpec) -> LinearUnion:
     """r pairwise-disjoint d-subspaces of P^n (needs 2d < n, r >= 1).
 
     n = 2d+1 uses the field-reduction spread (capacity q^(d+1)+1); other
@@ -318,20 +242,20 @@ def build_partial_spread(n: int, d: int, r: int,
                 raise InfeasibleError(
                     f"packer stopped after {SCAN_BUDGET} candidates with "
                     f"{len(members)} members", achieved=len(members))
-            if all(_subspace_disjoint(cand, m) for m in members):
+            if all(_meet_dim(cand, m) < 0 for m in members):
                 members.append(cand)
         if len(members) < r:
             raise InfeasibleError(
                 f"packer found only {len(members)} disjoint members",
                 achieved=len(members))
-    spec = SpreadSpec(n=n, d=d, members=tuple(members))
+    spec = LinearUnion("spread", n, tuple(members))
     spec.validate()
     if pi(n, field.q) <= 10 ** 6:
         assert _union_point_count(spec.members) == spec.point_count()
     return spec
 
 
-def build_flower(n: int, d: int, r: int, field: FieldSpec) -> FlowerSpec:
+def build_flower(n: int, d: int, r: int, field: FieldSpec) -> LinearUnion:
     """r d-subspaces of P^n through a common (2d-n)-core, meeting pairwise
     exactly there (needs d < n <= 2d, r >= 2).
 
@@ -357,10 +281,10 @@ def build_flower(n: int, d: int, r: int, field: FieldSpec) -> FlowerSpec:
     for member in sub.members:
         rows = [tuple(row) + pad for row in member.rows] + list(core.rows)
         petals.append(LinearSubspace.from_spanning(field, rows))
-    spec = FlowerSpec(n=n, d=d, core=core, petals=tuple(petals))
+    spec = LinearUnion("flower", n, tuple(petals), core)
     spec.validate()
     if pi(n, field.q) <= 10 ** 6:
-        assert _union_point_count(spec.petals) == spec.point_count()
+        assert _union_point_count(spec.members) == spec.point_count()
     return spec
 
 
@@ -386,7 +310,7 @@ def _arrangement_candidates(n: int, d1: int, di: int,
 
 
 def build_extremal_arrangement(dims: Sequence[int], n: int,
-                               field: FieldSpec) -> ArrangementSpec:
+                               field: FieldSpec) -> LinearUnion:
     """An arrangement of linear subspaces of the given dimensions whose
     point count equals the arrangement bound.
 
@@ -407,19 +331,6 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
     best_depth = 0
     steps = 0
 
-    def fits(cand: LinearSubspace, di: int) -> bool:
-        floor = max(di + d1 + 1 - n, 0) - 1
-        inter = first.intersection(cand)
-        if (-1 if inter is None else inter.dim) != floor:
-            return False
-        for prev in chosen:
-            if prev.rows == cand.rows:
-                return False
-            both = prev.intersection(cand)
-            if both is not None and not first.contains_subspace(both):
-                return False
-        return True
-
     def place(i: int) -> bool:
         nonlocal best_depth, steps
         if i == len(menus):
@@ -430,7 +341,7 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
                 raise InfeasibleError(
                     f"search stopped after {ARRANGEMENT_STEPS} placements",
                     achieved=1 + best_depth)
-            if fits(cand, ds[i + 1]):
+            if _extremal_after(first, chosen, cand, n):
                 chosen.append(cand)
                 best_depth = max(best_depth, len(chosen))
                 if place(i + 1):
@@ -443,10 +354,8 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
             f"placed {1 + best_depth} of {len(ds)} members",
             achieved=1 + best_depth)
 
-    members = (first,) + tuple(chosen)
-    target = bound_linear_arrangement(list(ds), n, field.q).total
-    got = _union_point_count(members)
-    assert got == target, f"built {got} points, bound says {target}"
-    spec = ArrangementSpec(n=n, dims=ds, members=members, count=got)
+    spec = LinearUnion("arrangement", n, (first,) + tuple(chosen))
     spec.validate()
+    got, target = _union_point_count(spec.members), spec.point_count()
+    assert got == target, f"built {got} points, bound says {target}"
     return spec

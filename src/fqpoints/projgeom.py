@@ -215,10 +215,6 @@ class LinearSubspace:
             return None
         return LinearSubspace(self.field, self.n, tuple(sol))
 
-    def span_with(self, other: "LinearSubspace") -> "LinearSubspace":
-        return LinearSubspace.from_spanning(
-            self.field, list(self.rows) + list(other.rows))
-
     def form_polynomials(self) -> list:
         """dual_forms as linear Polynomial objects."""
         return [linear_form(self.field, w) for w in self.dual_forms()]

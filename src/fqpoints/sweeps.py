@@ -120,19 +120,18 @@ def _construction_rows(qs) -> list:
         if q == 2:
             made.append(build_partial_spread(5, 2, 3, field))
         for spec in made:
-            members = getattr(spec, "petals", getattr(spec, "members", ()))
-            r = len(members)
-            cap = bound_equidimensional(spec.n, q, spec.d, r).total
+            r, d = len(spec.members), spec.dims[0]
+            cap = bound_equidimensional(spec.n, q, d, r).total
             c = spec.point_count()
             rows.append(_row("equidimensional", spec.n, q, cap, c, c == cap,
-                             dims=";".join([str(spec.d)] * r),
+                             dims=";".join([str(d)] * r),
                              degs=";".join(["1"] * r),
                              hypotheses="irredundant=verified"))
         for dims, n in (([2, 1], 3), ([2, 2], 4), ([1, 1], 3)):
             arr = build_extremal_arrangement(dims, n, field)
             cap = bound_linear_arrangement(dims, n, q).total
-            rows.append(_row("linear_arrangement", n, q, cap, arr.count,
-                             arr.count == cap,
+            c = arr.point_count()
+            rows.append(_row("linear_arrangement", n, q, cap, c, c == cap,
                              dims=";".join(str(d) for d in arr.dims),
                              degs=";".join(["1"] * len(dims)),
                              hypotheses="irredundant=verified"))

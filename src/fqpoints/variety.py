@@ -70,10 +70,6 @@ class Variety:
     def q(self) -> int:
         return self.field.q
 
-    @property
-    def max_dim(self) -> int:
-        return max((c.dim for c in self.components), default=-1)
-
     def component(self, name: str) -> Component:
         for c in self.components:
             if c.name == name:

@@ -112,7 +112,7 @@ def test_criterion_4_tight_constructions():
         field = make_field(q)
         flower = build_flower(4, 2, 3, field)
         pts = set()
-        for petal in flower.petals:
+        for petal in flower.members:
             pts.update(petal.points())
         cap = bound_equidimensional(4, q, 2, 3).total
         if not (len(pts) == flower.point_count() == want == cap):
@@ -208,8 +208,8 @@ def test_criterion_8_arrangements_and_gap():
         for dims, n in (([2, 1], 3), ([2, 2], 4)):
             spec = build_extremal_arrangement(dims, n, field)
             rep = bound_linear_arrangement(dims, n, q)
-            if spec.count != rep.total:
-                failures.append(("equality", dims, n, q, spec.count,
+            if spec.point_count() != rep.total:
+                failures.append(("equality", dims, n, q, spec.point_count(),
                                  rep.total))
             gap = rep.extra["gap_below_projective"]
             distinct = len(set(dims)) > 1

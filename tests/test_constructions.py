@@ -9,9 +9,7 @@ from fqpoints.bounds import (
     bound_linear_arrangement,
 )
 from fqpoints.constructions import (
-    ArrangementSpec,
-    FlowerSpec,
-    SpreadSpec,
+    LinearUnion,
     build_extremal_arrangement,
     build_flower,
     build_partial_spread,
@@ -81,24 +79,24 @@ def test_flower_of_planes_through_point():
     spec = build_flower(4, 2, 3, F2)
     assert spec.core.dim == 0
     assert spec.point_count() == 19
-    assert union_size(spec.petals) == 19
+    assert union_size(spec.members) == 19
     assert spec.point_count() == bound_equidimensional(4, 2, 2, 3).total
 
 
 def test_flower_examples_more_fields():
     two = build_flower(3, 2, 2, F2)  # two hyperplanes sharing a line
     assert two.point_count() == 11
-    assert union_size(two.petals) == 11
+    assert union_size(two.members) == 11
     big = build_flower(4, 2, 3, F3)
     assert big.point_count() == 37
-    assert union_size(big.petals) == 37
+    assert union_size(big.members) == 37
 
 
 def test_flower_capacity_and_validation():
     with pytest.raises(InfeasibleError) as err:
         build_flower(4, 2, 6, F2)  # quotient spread caps at q^2+1 = 5
     assert err.value.achieved == 5
-    assert len(build_flower(4, 2, 5, F2).petals) == 5
+    assert len(build_flower(4, 2, 5, F2).members) == 5
     with pytest.raises(InvalidSpecError):
         build_flower(4, 1, 2, F2)  # n > 2d
     with pytest.raises(InvalidSpecError):
@@ -107,29 +105,30 @@ def test_flower_capacity_and_validation():
 
 def test_flower_petals_meet_exactly_in_core():
     spec = build_flower(5, 3, 4, F2)
-    for a, b in itertools.combinations(spec.petals, 2):
+    for a, b in itertools.combinations(spec.members, 2):
         inter = a.intersection(b)
         assert inter is not None and inter.rows == spec.core.rows
-    assert union_size(spec.petals) == spec.point_count()
+    assert union_size(spec.members) == spec.point_count()
 
 
 def test_tight_against_equidimensional_bound():
     cases = [build_partial_spread(3, 1, 4, F2), build_flower(3, 2, 2, F2),
              build_flower(4, 2, 4, F3), build_partial_spread(5, 2, 3, F2)]
     for spec in cases:
-        r = len(getattr(spec, "petals", getattr(spec, "members", ())))
+        r = len(spec.members)
         value = spec.point_count()
-        assert value == bound_equidimensional(spec.n, spec.q, spec.d, r).total
+        assert value == bound_equidimensional(spec.n, spec.q, spec.dims[0],
+                                              r).total
 
 
 def test_arrangement_examples():
     a = build_extremal_arrangement([2, 1], 3, F2)
-    assert a.count == 9 == union_size(a)
+    assert a.point_count() == 9 == union_size(a.members)
     b = build_extremal_arrangement([2, 2], 4, F2)
-    assert b.count == 13
+    assert b.point_count() == 13
     c = build_extremal_arrangement([1, 1], 3, F2)
-    assert c.count == 6
-    assert [m.dim for m in c] == [1, 1] and len(c) == 2
+    assert c.point_count() == 6
+    assert [m.dim for m in c.members] == [1, 1] and len(c.members) == 2
 
 
 def test_arrangement_meets_bound_on_grid():
@@ -141,7 +140,7 @@ def test_arrangement_meets_bound_on_grid():
                     if want > pi(n, q):
                         continue  # cannot fit, covered by infeasible test
                     spec = build_extremal_arrangement(list(dims), n, field)
-                    assert spec.count == want
+                    assert spec.point_count() == want
                     first = spec.members[0]
                     for m in spec.members[1:]:
                         inter = first.intersection(m)
@@ -151,7 +150,7 @@ def test_arrangement_meets_bound_on_grid():
 
 def test_arrangement_concurrent_lines_fill_plane():
     spec = build_extremal_arrangement([1, 1, 1], 2, F2)
-    assert spec.count == 7 == pi(2, 2)
+    assert spec.point_count() == 7 == pi(2, 2)
     with pytest.raises(InfeasibleError) as err:
         build_extremal_arrangement([1, 1, 1, 1], 2, F2)
     assert err.value.achieved == 3
@@ -163,23 +162,25 @@ def test_arrangement_validation():
     with pytest.raises(InvalidSpecError):
         build_extremal_arrangement([3, 1], 3, F2)
     spec = build_extremal_arrangement([2, 1], 3, F2)
-    bad = ArrangementSpec(n=3, dims=(2, 2), members=spec.members,
-                          count=spec.count)
+    bad = LinearUnion("arrangement", 3, spec.members[::-1])
     with pytest.raises(InvalidSpecError):
         bad.validate()
 
 
 def test_spec_validate_rejects_tampering():
     spec = build_partial_spread(3, 1, 2, F2)
-    overlapping = SpreadSpec(
-        n=3, d=1, members=(spec.members[0], spec.members[0]))
+    overlapping = LinearUnion(
+        "spread", 3, (spec.members[0], spec.members[0]))
     with pytest.raises(InvalidSpecError):
         overlapping.validate()
     flower = build_flower(4, 2, 3, F2)
-    crooked = FlowerSpec(n=4, d=2, core=flower.petals[0],
-                         petals=flower.petals)
+    crooked = LinearUnion("flower", 4, flower.members,
+                          core=flower.members[0])
     with pytest.raises(InvalidSpecError):
         crooked.validate()
+    for kind in ("spread", "flower", "arrangement"):
+        with pytest.raises(InvalidSpecError):
+            LinearUnion(kind, 3, ()).validate()
 
 
 def test_enumerate_subspaces_counts():

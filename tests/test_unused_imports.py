@@ -1,10 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private helper the package defines is referenced somewhere in it.
 
 A name used only inside a quoted annotation counts as unused; the modules
 import `annotations` from `__future__`, so annotations need no quotes.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import fqpoints
@@ -32,3 +34,35 @@ def test_no_module_imports_a_name_it_never_uses():
         unused += [f"{path.name}: {name}" for name in _imported_names(tree)
                    if name not in used]
     assert unused == []
+
+
+def _private_defs(tree):
+    """Private module-level functions and private methods, dunders aside."""
+    for node in tree.body:
+        body = node.body if isinstance(node, ast.ClassDef) else [node]
+        for item in body:
+            if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and item.name.startswith("_")
+                    and not item.name.endswith("__")):
+                yield item
+
+
+def _references(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    refs = Counter(name for tree in trees.values()
+                   for name in _references(tree))
+    unreferenced = [
+        f"{module}: {fn.name}"
+        for module, tree in trees.items() for fn in _private_defs(tree)
+        # a call from its own body (recursion) does not count as a use
+        if refs[fn.name] == Counter(_references(fn))[fn.name]]
+    assert unreferenced == []

@@ -40,7 +40,7 @@ def test_load_twisted_cubic(twisted_cubic):
     assert c.name == "curve" and (c.dim, c.degree) == (1, 3)
     assert c.irreducible_declared and not c.is_linear
     assert c.hyperplane_forms == ()
-    assert X.irredundancy == "verified" and X.max_dim == 1
+    assert X.irredundancy == "verified"
 
 
 def test_component_accessor(twisted_cubic):

@@ -98,6 +98,15 @@ CASES = [
                                   "--emit", "json"]),
     ("hilbert_gf4096_conics", ["hilbert", "--variety",
                                "inputs/gf4096_conics.var"]),
+    ("census_trace_gf3_reducible", ["census", "--variety",
+                                    "inputs/gf3_reducible_quadric.var",
+                                    "--point", "1:0:0:2", "--trace"]),
+    ("census_trace_gf2_cubic", ["census", "--variety",
+                                "inputs/gf2_cubic_plane.var",
+                                "--point", "0:1:1:0", "--trace"]),
+    ("census_trace_gf5_quadric", ["census", "--variety",
+                                  "inputs/gf5_quadric.var",
+                                  "--point", "1:0:0:0", "--trace"]),
 ]
 
 

@@ -10,6 +10,7 @@ import argparse
 import csv
 import io
 import json
+import operator
 import sys
 
 from .bounds import (
@@ -51,18 +52,19 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _cell(v) -> str:
-    if isinstance(v, bool):
-        return "yes" if v else "no"
-    return "" if v is None else str(v)
-
-
 def _csv_text(rows) -> str:
+    """Rows in CSV_FIELDS order. csv writes each value as str() and None as
+    an empty cell; only the `tight` flag, a bool or "", reads yes/no."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
+    cells = operator.itemgetter(*CSV_FIELDS)
+    tight = CSV_FIELDS.index("tight")
     for row in rows:
-        writer.writerow([_cell(row[f]) for f in CSV_FIELDS])
+        line = list(cells(row))
+        if isinstance(line[tight], bool):
+            line[tight] = "yes" if line[tight] else "no"
+        writer.writerow(line)
     return buf.getvalue()
 
 

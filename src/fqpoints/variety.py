@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceededError,
@@ -297,14 +297,58 @@ class Classification:
         }
 
 
+def _hyperplane_points(F: FieldSpec, w: tuple,
+                       free: Sequence[tuple]) -> Iterator[tuple]:
+    """The normalized points of the hyperplane {w . x = 0}, w normalized.
+
+    With i the leading position of w (w_i = 1), the other coordinates t run
+    over `free`, the normalized points of P^(n-1), and x_i = -sum_{j>i} w_j
+    x_j, so each point comes once. Only a point whose coordinates before i
+    are zero and whose x_i is nonzero needs rescaling."""
+    i = w.index(1)
+    tail = w[i + 1:]
+    for t in free:
+        xi = F.neg(_dot(F, tail, t[i:]))
+        x = t[:i] + (xi,) + t[i:]
+        if xi and not any(t[:i]):
+            inv = F.inv(xi)
+            x = tuple(F.mul(c, inv) for c in x)
+        yield x
+
+
 def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
-    """A normalized linear form dividing f, or None. Exact: a geometric
-    component of a hypersurface lies in a rational hyperplane exactly when
-    the form has a rational linear divisor."""
-    for w in _normalized_tuples(f.field, f.nvars):
-        ell = linear_form(f.field, w)
-        if normal_form(f, [ell], GREVLEX).is_zero():
-            return ell
+    """The first normalized linear form dividing f, or None. Exact: a
+    geometric component of a hypersurface lies in a rational hyperplane
+    exactly when the form has a rational linear divisor.
+
+    For degree d <= q the divisor test is a point test (Serre's bound). If
+    f does not vanish on H = {l = 0}, then f restricted to H ~ P^(n-1) is a
+    nonzero form of degree d and has at most d*q^(n-2) + pi(n-3) <
+    pi(n-1) zeros there; for n = 1, H is one point. So l | f exactly when
+    every F_q-point of H is a zero of f, and the forms are tried against
+    the zero set of f, one hyperplane point at a time, with no division.
+    For d > q that count can reach pi(n-1) with l not dividing f (x0^q*x1 -
+    x0*x1^q vanishes on all of P^n), so each form is tried by normal_form.
+    """
+    F, n = f.field, f.nvars - 1
+    total = pi(n, F.q)
+    if total > DEFAULT_BUDGET:
+        raise BudgetExceededError(
+            f"the linear-divisor search over P^{n}(F_{F.q}) tries {total} "
+            f"forms, over budget {DEFAULT_BUDGET}")
+    if f.degree() > F.q:
+        for w in _normalized_tuples(F, n + 1):
+            ell = linear_form(F, w)
+            if normal_form(f, [ell], GREVLEX).is_zero():
+                return ell
+        return None
+    zeros = {P.coords for P in _union_points(F, n, [[f]], DEFAULT_BUDGET)}
+    if len(zeros) < pi(n - 1, F.q):
+        return None
+    free = list(_normalized_tuples(F, n))
+    for w in _normalized_tuples(F, n + 1):
+        if all(x in zeros for x in _hyperplane_points(F, w, free)):
+            return linear_form(F, w)
     return None
 
 

@@ -6,9 +6,9 @@ normal_form when deg f > q. The reference here tries every normalized form
 of P^n in the same order with one `normal_form` each, the search the point
 test replaces, so the two must agree form for form.
 
-Seeded forms cover products l*g (which have a linear divisor) and sparse
-random forms (most of which have none) over GF(2, 3, 4, 5, 7, 8, 9), in
-P^1 to P^4, with degrees on both sides of q.
+Seeded forms cover products l*g, which have a linear divisor, and random
+forms of 3 to 6 terms, of which about a third have none, over GF(2, 3, 4,
+5, 7, 8, 9), in P^1 to P^4, with degrees on both sides of q: 288 forms.
 """
 
 import functools
@@ -51,8 +51,8 @@ def random_form(rng, F, nvars, degree, terms):
 
 @functools.lru_cache(maxsize=None)
 def seeded_cases(q):
-    """(f, reference(f)) for products l*g and sparse random forms, with
-    degrees <= q and > q; shared by the tests below."""
+    """(f, reference(f)) for products l*g and random forms, with degrees
+    <= q and > q; shared by the tests below."""
     F = field_from_order(q)
     rng = random.Random(f"linear-divisor/{q}")
     els = list(F.elements())

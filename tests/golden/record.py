@@ -10,6 +10,10 @@ directory, so the transcripts do not depend on the working directory.
 The transcripts pin the output of the commit they were recorded at, so a
 change that alters one byte of them fails the test.
 
+The same run records the stdout of each script in `demos/`, executed
+in-process as `__main__`, to `demos/<script stem>.out` here;
+tests/test_demos.py compares them.
+
 Re-record only when an output is meant to change, and give the reason in
 CHANGES.md. A run that rewrites a transcript without such a reason undoes
 the check the transcripts exist for.
@@ -18,10 +22,13 @@ the check the transcripts exist for.
 import contextlib
 import io
 import json
+import runpy
 import sys
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+DEMO_SOURCES = HERE.parents[1] / "demos"
+DEMO_OUTPUTS = HERE / "demos"
 
 HYPER = ["sweep", "--family", "all_hypersurfaces"]
 
@@ -125,6 +132,14 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def run_demo(script):
+    """stdout of one demo script, run in-process as `__main__`."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        runpy.run_path(str(script), run_name="__main__")
+    return out.getvalue()
+
+
 def record():
     index = {}
     for name, argv in CASES:
@@ -135,6 +150,11 @@ def record():
     lines = [f" {json.dumps(name)}: {json.dumps(index[name], sort_keys=True)}"
              for name in sorted(index)]
     (HERE / "index.json").write_text("{\n" + ",\n".join(lines) + "\n}\n")
+    DEMO_OUTPUTS.mkdir(exist_ok=True)
+    for script in sorted(DEMO_SOURCES.glob("*.py")):
+        out = run_demo(script)
+        (DEMO_OUTPUTS / f"{script.stem}.out").write_bytes(out.encode())
+        print(f"demo {script.stem}: {len(out)} bytes", file=sys.stderr)
 
 
 if __name__ == "__main__":

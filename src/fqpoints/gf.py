@@ -328,11 +328,11 @@ def prime_power(q: int) -> tuple | None:
     return (p, k) if m == 1 else None
 
 
-def field_from_order(q: int, modulus=None) -> FieldSpec:
+def field_from_order(q: int) -> FieldSpec:
     """GF(q) from the order alone; factors q as a prime power."""
     if q < 2:
         raise NotPrimeError(f"field order must be a prime power >= 2, got {q}")
     pk = prime_power(q)
     if pk is None:
         raise NotPrimeError(f"{q} is not a prime power")
-    return make_field(*pk, modulus)
+    return make_field(*pk)

@@ -17,7 +17,7 @@ from .errors import (
     PointNotOnComponentError,
     PointNotOnVarietyError,
 )
-from .projgeom import ProjectivePoint, enumerate_hyperplanes, pi
+from .projgeom import enumerate_hyperplanes, pi, point_text
 from .variety import (
     Variety,
     _on_union,
@@ -32,7 +32,7 @@ class IncidenceCensus:
     regime: str  # "spanning" | "linear_component"
     n: int
     q: int
-    base_point: ProjectivePoint
+    base_point: str  # the point as point_text prints it
     v1_size: int
     v2_size: int
     edge_count: int
@@ -50,7 +50,7 @@ class IncidenceCensus:
     def to_json_dict(self) -> dict:
         return {
             "regime": self.regime, "n": self.n, "q": self.q,
-            "base_point": str(self.base_point),
+            "base_point": self.base_point,
             "v1_size": self.v1_size, "v2_size": self.v2_size,
             "edge_count": self.edge_count,
             "per_point_valency": self.per_point_valency,
@@ -86,7 +86,7 @@ class IncidenceCensus:
         return lines
 
 
-def _pencil_incidences(X: Variety, P: ProjectivePoint, budget: int, L=None):
+def _pencil_incidences(X: Variety, P: tuple, budget: int, L=None):
     """(V1, pencil, valencies, edges) at base point P.
 
     V1 is X(F_q) minus P, or minus the subspace L when one is given; the
@@ -102,7 +102,7 @@ def _pencil_incidences(X: Variety, P: ProjectivePoint, budget: int, L=None):
     return v1, pencil, valencies, sum(v for _, v in valencies)
 
 
-def census_through_point(X: Variety, P: ProjectivePoint,
+def census_through_point(X: Variety, P: tuple,
                          budget: int = 10 ** 7) -> IncidenceCensus:
     """Census of incidences between X(F_q) \\ {P} and the pencil of
     hyperplanes through P.
@@ -111,8 +111,9 @@ def census_through_point(X: Variety, P: ProjectivePoint,
     pi_{n-2} pencil members). When the classification puts every component
     outside every hyperplane, additionally caps each valency by the section
     bound minus one and replays the derived count bound."""
-    if not _on_union([c.ideal.gens for c in X.components], P.coords):
-        raise PointNotOnVarietyError(f"{P} is not a rational point of X")
+    if not _on_union([c.ideal.gens for c in X.components], P):
+        raise PointNotOnVarietyError(
+            f"{point_text(X.field, P)} is not a rational point of X")
     n, q = X.n, X.q
     v1, pencil, valencies, edges = _pencil_incidences(X, P, budget)
     per_point = pi(n - 2, q)
@@ -147,7 +148,7 @@ def census_through_point(X: Variety, P: ProjectivePoint,
             identities["ambient_bound_reaches_whole_space"] = (
                 ambient >= pi(n, q))
     return IncidenceCensus(
-        regime="spanning", n=n, q=q, base_point=P,
+        regime="spanning", n=n, q=q, base_point=point_text(X.field, P),
         v1_size=len(v1), v2_size=len(pencil), edge_count=edges,
         per_point_valency=per_point, valencies=valencies,
         identities=identities, section_bound=section_bound,
@@ -155,7 +156,7 @@ def census_through_point(X: Variety, P: ProjectivePoint,
 
 
 def census_linear_component(X: Variety, component_name: str,
-                            P: ProjectivePoint,
+                            P: tuple,
                             budget: int = 10 ** 7) -> IncidenceCensus:
     """Census of incidences between (X \\ L)(F_q) and the hyperplanes
     through P that do not contain the linear component L.
@@ -174,8 +175,8 @@ def census_linear_component(X: Variety, component_name: str,
             f"needs room for hyperplanes not containing it")
     L = comp.subspace()
     if not L.contains(P):
-        raise PointNotOnComponentError(
-            f"{P} is not on component {component_name!r}")
+        raise PointNotOnComponentError(f"{point_text(X.field, P)} is not on "
+                                       f"component {component_name!r}")
     v1, pencil, valencies, edges = _pencil_incidences(X, P, budget, L)
     per_point = pi(n - 2, q) - pi(n - d - 2, q)
     identities = {
@@ -184,7 +185,7 @@ def census_linear_component(X: Variety, component_name: str,
         "edge_identity": edges == len(v1) * per_point,
     }
     return IncidenceCensus(
-        regime="linear_component", n=n, q=q, base_point=P,
+        regime="linear_component", n=n, q=q, base_point=point_text(X.field, P),
         v1_size=len(v1), v2_size=len(pencil), edge_count=edges,
         per_point_valency=per_point, valencies=valencies,
         identities=identities,

@@ -6,7 +6,8 @@ field elements, the ints of `gf.FieldSpec`. Two term orders are provided
 accepts +, -, *, ^ with parentheses, integer literals (reduced mod p here
 and nowhere else), variables x0..x{nvars-1}, and the extension generator
 `a`. Each multiplication the parser makes is capped at TERM_WORK_CAP
-coefficient products, and each expanded power at DEGREE_CAP.
+coefficient products, each expanded power at DEGREE_CAP, and the nesting
+of parentheses and unary minus signs at NESTING_CAP levels.
 """
 
 from __future__ import annotations
@@ -33,6 +34,10 @@ DEGREE_CAP = 1000
 # Most coefficient products one multiplication in the parser may take; a
 # power is checked at each of its square-and-multiply steps.
 TERM_WORK_CAP = 300_000
+# Deepest nesting of parentheses and unary minus signs the parser follows;
+# each level is a few Python frames, so this keeps it clear of the
+# interpreter's recursion limit.
+NESTING_CAP = 100
 
 
 # --- monomial helpers ---
@@ -352,6 +357,7 @@ class _Parser:
         self.field = field
         self.nvars = nvars
         self.source = source
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -386,10 +392,21 @@ class _Parser:
                 f"term products")
         return a * b
 
+    def nested(self, parse) -> Polynomial:
+        """parse(), one nesting level deeper; refused past NESTING_CAP."""
+        if self.depth == NESTING_CAP:
+            raise ParseError(
+                f"parentheses and signs nested deeper than {NESTING_CAP} "
+                f"levels in {self.source!r}")
+        self.depth += 1
+        node = parse()
+        self.depth -= 1
+        return node
+
     def factor(self) -> Polynomial:
         if self.peek() == "-":
             self.take()
-            return -self.factor()
+            return -self.nested(self.factor)
         node = self.base()
         if self.peek() == "^":
             self.take()
@@ -415,7 +432,7 @@ class _Parser:
     def base(self) -> Polynomial:
         tok = self.take()
         if tok == "(":
-            node = self.expr()
+            node = self.nested(self.expr)
             if self.take() != ")":
                 raise ParseError(f"unbalanced parentheses in {self.source!r}")
             return node

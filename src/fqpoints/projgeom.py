@@ -36,44 +36,22 @@ def _normalized_tuples(field: FieldSpec, length: int) -> Iterator[tuple]:
             yield (0,) * lead + (1,) + tail
 
 
-class ProjectivePoint:
-    """A point of P^n, stored in normalized coordinates."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: FieldSpec, coords: tuple):
-        self.field = field
-        self.coords = coords
-
-    @classmethod
-    def from_coords(cls, field: FieldSpec, coords: Sequence[int]) -> "ProjectivePoint":
-        lead = next((v for v in coords if v), None)
-        if lead is None:
-            raise BadPointError("projective point needs a nonzero coordinate")
-        inv = field.inv(lead)
-        return cls(field, tuple(field.mul(v, inv) for v in coords))
-
-    @property
-    def n(self) -> int:
-        return len(self.coords) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, ProjectivePoint):
-            return NotImplemented
-        return self.field == other.field and self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.field, self.coords))
-
-    def __str__(self):
-        return "(" + ":".join(self.field.text(c) for c in self.coords) + ")"
-
-    def __repr__(self):
-        return f"<point {self} over {self.field}>"
+def normalize_point(field: FieldSpec, coords: Sequence[int]) -> tuple:
+    """coords scaled so the first nonzero entry is 1: the point's tuple."""
+    lead = next((v for v in coords if v), None)
+    if lead is None:
+        raise BadPointError("projective point needs a nonzero coordinate")
+    inv = field.inv(lead)
+    return tuple(field.mul(v, inv) for v in coords)
 
 
-def point_from_text(text: str, field: FieldSpec, n: int) -> ProjectivePoint:
-    """Parse `(1:0:2)` or `1,0,2` into a point of P^n."""
+def point_text(field: FieldSpec, point: Sequence[int]) -> str:
+    """`(1:0:a)`: the text `point_from_text` reads back."""
+    return "(" + ":".join(field.text(c) for c in point) + ")"
+
+
+def point_from_text(text: str, field: FieldSpec, n: int) -> tuple:
+    """Parse `(1:0:2)` or `1,0,2` into the normalized tuple of a P^n point."""
     s = text.strip().lstrip("(").rstrip(")")
     sep = ":" if ":" in s else ","
     parts = [part.strip() for part in s.split(sep)]
@@ -81,15 +59,14 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> ProjectivePoint:
         raise BadPointError(f"expected {n + 1} coordinates, got {len(parts)}")
     # each coordinate is a constant expression such as 2, -1 or a+1
     coords = [parse_poly(part, field, 1).evaluate((0,)) for part in parts]
-    return ProjectivePoint.from_coords(field, coords)
+    return normalize_point(field, coords)
 
 
-def enumerate_points(n: int, field: FieldSpec) -> Iterator[ProjectivePoint]:
+def enumerate_points(n: int, field: FieldSpec) -> Iterator[tuple]:
     """All pi(n) points of P^n, deterministic order, normalized."""
     if n < 0:
         raise ValueError("ambient dimension must be nonnegative")
-    for coords in _normalized_tuples(field, n + 1):
-        yield ProjectivePoint(field, coords)
+    yield from _normalized_tuples(field, n + 1)
 
 
 # --- exact linear algebra over a FieldSpec ---
@@ -190,22 +167,21 @@ class LinearSubspace:
             self._dual = tuple(nullspace(self.rows, self.field, self.n + 1))
         return self._dual
 
-    def contains(self, point) -> bool:
-        """Every dual form vanishes at the point (or coordinate vector)."""
-        coords = point.coords if isinstance(point, ProjectivePoint) else point
-        return not any(_dot(self.field, w, coords) for w in self.dual_forms())
+    def contains(self, point: Sequence[int]) -> bool:
+        """Every dual form vanishes at the point (any coordinate vector)."""
+        return not any(_dot(self.field, w, point) for w in self.dual_forms())
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains(row) for row in other.rows)
 
-    def points(self) -> Iterator[ProjectivePoint]:
+    def points(self) -> Iterator[tuple]:
         F = self.field
         for combo in _normalized_tuples(F, len(self.rows)):
             coords = [0] * (self.n + 1)
             for c, row in zip(combo, self.rows):
                 if c:
                     coords = [F.add(a, F.mul(c, b)) for a, b in zip(coords, row)]
-            yield ProjectivePoint(F, tuple(coords))
+            yield tuple(coords)
 
     def intersection(self, other: "LinearSubspace") -> Optional["LinearSubspace"]:
         """The intersection subspace, or None when it is empty."""
@@ -236,7 +212,7 @@ class LinearSubspace:
 
 
 def enumerate_hyperplanes(n: int, field: FieldSpec,
-                          through: Optional[ProjectivePoint] = None,
+                          through: Optional[tuple] = None,
                           excluding_containing: Optional[LinearSubspace] = None
                           ) -> Iterator[LinearSubspace]:
     """Hyperplanes of P^n by normalized dual form, with incidence filters.
@@ -251,7 +227,7 @@ def enumerate_hyperplanes(n: int, field: FieldSpec,
             raise InconsistentFiltersError(
                 "through-point must lie on the subspace being excluded")
     for w in _normalized_tuples(field, n + 1):
-        if through is not None and _dot(field, w, through.coords):
+        if through is not None and _dot(field, w, through):
             continue
         if excluding_containing is not None and not any(
                 _dot(field, w, row) for row in excluding_containing.rows):

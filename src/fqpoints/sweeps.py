@@ -65,7 +65,7 @@ def _zero_counts(field: FieldSpec, n: int, degree: int):
     weights = [base ** i for i in range(field.k)]
     reduce = [sum(x // w % base % p * w for w in weights)
               for x in range(base ** field.k)]
-    points = [P.coords for P in enumerate_points(n, field)]
+    points = list(enumerate_points(n, field))
     columns = {u: [Polynomial(field, nvars, {u: 1}).evaluate(P)
                    for P in points]
                for u in monomials_of_degree(nvars, degree)}

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .gf import FieldSpec, make_field
 from .groebner import GroebnerBasis, HilbertData, Ideal, buchberger, hilbert, normal_form
-from .mpoly import (GREVLEX, Polynomial, chart_transform, form_vector,
-                    linear_form, parse_poly)
+from .mpoly import (DEGREE_CAP, GREVLEX, Polynomial, chart_transform,
+                    form_vector, linear_form, parse_poly)
 from .projgeom import (LinearSubspace, _dot, _normalized_tuples,
                        enumerate_points, nullspace, pi)
 
@@ -167,6 +167,12 @@ def load_variety(text: str) -> Variety:
             n = _int_value(kv, "n", line_no)
             if n < 1:
                 raise ParseError(f"line {line_no}: ambient dimension must be >= 1")
+            # hilbert() needs t up to at least 2(n + 1) for any component
+            if 2 * (n + 1) > DEGREE_CAP:
+                raise BudgetExceededError(
+                    f"line {line_no}: ambient dimension n={n} needs Hilbert "
+                    f"values past the cap t = {DEGREE_CAP}; n is at most "
+                    f"{DEGREE_CAP // 2 - 1}")
         elif head == "component":
             kv = _parse_kv(rest, line_no)
             if "name" not in kv:
@@ -246,7 +252,7 @@ def _union_points(field: FieldSpec, n: int, gens_per_component: Sequence,
         raise BudgetExceededError(
             f"P^{n}(F_{field.q}) has {total} points, over budget {budget}")
     return [P for P in enumerate_points(n, field)
-            if _on_union(gens_per_component, P.coords)]
+            if _on_union(gens_per_component, P)]
 
 
 def rational_points(X: Variety, budget: int = DEFAULT_BUDGET) -> list:
@@ -284,17 +290,6 @@ class Classification:
     components: tuple
     regime: str  # "spanning" | "linear_exceptions" | "general"
     spanning_quality: str  # "verified" | "declared" | "none"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "regime": self.regime,
-            "spanning_quality": self.spanning_quality,
-            "components": [
-                {"name": c.name, "dim": c.dim, "degree": c.degree,
-                 "linear": c.is_linear, "status": c.hyperplane_status,
-                 "witness": c.witness, "method": c.method}
-                for c in self.components],
-        }
 
 
 def _hyperplane_points(F: FieldSpec, w: tuple,
@@ -342,7 +337,7 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
             if normal_form(f, [ell], GREVLEX).is_zero():
                 return ell
         return None
-    zeros = {P.coords for P in _union_points(F, n, [[f]], DEFAULT_BUDGET)}
+    zeros = set(_union_points(F, n, [[f]], DEFAULT_BUDGET))
     if len(zeros) < pi(n - 1, F.q):
         return None
     free = list(_normalized_tuples(F, n))
@@ -465,7 +460,7 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
             for g in comp.ideal.gens)
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)
-    section = sum(1 for P in pts if not _dot(F, w, P.coords))
+    section = sum(1 for P in pts if not _dot(F, w, P))
     return AffineChart(X.field, X.n, form, pivot, tuple(off), tuple(on),
                        len(pts), section, len(pts) - section)
 

@@ -218,3 +218,62 @@ def test_power_over_the_term_work_cap_exits_2_quickly(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err.startswith("error: product of ")
     assert "'(x0+x1+x2)^1000' is over the cap of 300000 term products" in err
+
+
+@pytest.mark.parametrize("text", ["(" * 10_000 + "x0" + ")" * 10_000,
+                                  "-" * 10_000 + "x0"],
+                         ids=["parentheses", "minus_signs"])
+def test_deeply_nested_document_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "deep.var"
+    path.write_text(f"field p=2 k=1\nspace n=1\ncomponent name=a\n"
+                    f"poly {text}\n")
+    for command in ("count", "hilbert"):
+        code, out, err = run(capsys, [command, "--variety", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: parentheses and signs nested deeper "
+                              "than 100 levels in ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_deeply_nested_census_point_exits_2(capsys, cubic_file):
+    point = "1:" + "(" * 10_000 + "0" + ")" * 10_000 + ":0:0"
+    code, out, err = run(capsys, ["census", "--variety", cubic_file,
+                                  "--point", point])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parentheses and signs nested deeper "
+                          "than 100 levels in ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_ambient_dimension_past_the_hilbert_cap_exits_2_quickly(capsys,
+                                                                tmp_path):
+    # hilbert() needs t up to 2(n + 1) > 1000 for any component once
+    # n >= 500, so the space line refuses n before any polynomial is built
+    path = tmp_path / "huge.var"
+    path.write_text("field p=2 k=1\nspace n=1000000000\ncomponent name=a\n"
+                    "poly x0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["count", "--variety", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: line 2: ambient dimension n=1000000000 needs "
+                   "Hilbert values past the cap t = 1000; n is at most 499\n")
+
+
+def test_ambient_dimension_499_still_loads(capsys, tmp_path):
+    path = tmp_path / "unit.var"
+    path.write_text("field p=2 k=1\nspace n=499\ncomponent name=a\n"
+                    "poly 1\n")
+    code, out, _ = run(capsys, ["hilbert", "--variety", str(path)])
+    assert code == 0
+    data = json.loads(out)
+    assert (data["n"], data["q"]) == (499, 2)
+    assert data["components"]["a"] == {
+        "degree": 0, "dim": -1, "empty": True, "poly": [[0, 1]],
+        "values": [0] * 1001}
+    path.write_text("field p=2 k=1\nspace n=499\ncomponent name=a\n"
+                    "poly x0\n")
+    code, out, err = run(capsys, ["hilbert", "--variety", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: Hilbert function range t = 0..1001 is over the "
+                   "cap t = 1000\n")

@@ -141,7 +141,7 @@ def test_twisted_cubic_point_counts_match_dimension_story():
     for F in (GF2, GF3, GF4):
         gens = twisted_cubic_ideal(F).gens
         hits = [P for P in enumerate_points(3, F)
-                if all(g.evaluate(P.coords) == 0 for g in gens)]
+                if all(g.evaluate(P) == 0 for g in gens)]
         assert len(hits) == F.q + 1
 
 

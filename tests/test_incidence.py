@@ -1,9 +1,15 @@
 """Incidence censuses replayed on enumerated varieties."""
 
+import contextlib
+import dataclasses
+import io
 import json
+from pathlib import Path
 
 import pytest
 
+import fqpoints.incidence
+from fqpoints.cli import main
 from fqpoints.errors import (
     ComponentIsHyperplaneError,
     NotLinearError,
@@ -136,3 +142,31 @@ def test_census_serialization_and_trace(twisted_cubic):
     assert any("edges = 6" in line for line in lines)
     assert any("section bound" in line for line in lines)
     assert not any("FAILED" in line or "VIOLATION" in line for line in lines)
+
+
+def test_valencies_over_the_section_bound_exit_1(monkeypatch):
+    # the section bound lowered by one: every valency at the old cap is a
+    # violation, the census is not ok, and the CLI exits 1
+    doc = Path(__file__).resolve().parent / "golden/inputs/gf5_quadric.var"
+    argv = ["census", "--variety", str(doc), "--point", "1:0:0:0", "--trace"]
+    real = fqpoints.incidence.bound_projective
+
+    def lowered(*args, **kwargs):
+        rep = real(*args, **kwargs)
+        return dataclasses.replace(rep, total=rep.total - 1)
+
+    monkeypatch.setattr(fqpoints.incidence, "bound_projective", lowered)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 1
+    head, _, tail = out.getvalue().partition("}\n")
+    data = json.loads(head + "}")
+    cap = data["section_bound"] - 1
+    over = [(form, v) for form, v in data["valencies"] if v > cap]
+    assert data["ok"] is False and over
+    assert [tuple(v) for v in data["violations"]] == [
+        (form, v, cap) for form, v in over]
+    violations = [line for line in tail.splitlines()
+                  if line.startswith("VIOLATION ")]
+    assert len(violations) == len(over)

@@ -33,8 +33,8 @@ from fqpoints.projgeom import enumerate_points, pi
 def masked_subspaces(n, field):
     """(subspace, point bitmask) for every subspace of dimension 0..n-1,
     largest dimension first, so any combination of them comes sorted."""
-    index = {p.coords: i for i, p in enumerate(enumerate_points(n, field))}
-    return [(sub, sum(1 << index[p.coords] for p in sub.points()))
+    index = {p: i for i, p in enumerate(enumerate_points(n, field))}
+    return [(sub, sum(1 << index[p] for p in sub.points()))
             for dim in range(n - 1, -1, -1)
             for sub in enumerate_subspaces(n, dim, field)]
 

@@ -46,7 +46,7 @@ def test_contains_matches_rank_oracle(q):
         for _ in range(6):
             sub = random_subspace(rng, F, n)
             for P in points:
-                assert sub.contains(P) == on(sub, P.coords, F), (sub, P)
+                assert sub.contains(P) == on(sub, P, F), (sub, P)
 
 
 # A hyperbolic quadric surface and a line that meets it in two points.
@@ -66,21 +66,21 @@ def oracle_valencies(X, P, L=None):
     L), counting the points of X other than P (off L) by rank alone."""
     F, n = X.field, X.n
     pts = [Q for Q in enumerate_points(n, F)
-           if any(all(not g.evaluate(Q.coords) for g in c.ideal.gens)
+           if any(all(not g.evaluate(Q) for g in c.ideal.gens)
                   for c in X.components)]
     if L is None:
         v1 = [Q for Q in pts if Q != P]
     else:
-        v1 = [Q for Q in pts if not on(L, Q.coords, F)]
+        v1 = [Q for Q in pts if not on(L, Q, F)]
     out = []
     for w in enumerate_points(n, F):  # normalized dual vectors
-        H = LinearSubspace.from_dual_form(F, w.coords)
-        if not on(H, P.coords, F):
+        H = LinearSubspace.from_dual_form(F, w)
+        if not on(H, P, F):
             continue
         if L is not None and all(on(H, row, F) for row in L.rows):
             continue
         out.append((str(H.form_polynomials()[0]),
-                    sum(1 for Q in v1 if on(H, Q.coords, F))))
+                    sum(1 for Q in v1 if on(H, Q, F))))
     return tuple(out)
 
 

@@ -18,6 +18,7 @@ from fqpoints.gf import make_field
 from fqpoints.mpoly import (
     GREVLEX,
     LEX,
+    NESTING_CAP,
     TERM_WORK_CAP,
     Polynomial,
     chart_transform,
@@ -104,6 +105,22 @@ def test_parse_caps_term_work():
                        match=r"product of 561 by 561 terms in "
                              r"'\(x0\+x1\+x2\)\^1000'"):
         parse_poly("(x0+x1+x2)^1000", GF32003, 3)
+
+
+def test_parse_caps_nesting():
+    # parentheses and unary minus signs nest up to NESTING_CAP levels; past
+    # it the parser refuses with a ParseError, never a RecursionError
+    assert NESTING_CAP == 100
+    assert parse_poly("(" * 100 + "x0" + ")" * 100, GF3, 2) == \
+        parse_poly("x0", GF3, 2)
+    assert parse_poly("-" * 100 + "x0", GF3, 2) == parse_poly("x0", GF3, 2)
+    assert parse_poly("-(" * 50 + "x1" + ")" * 50, GF3, 2) == \
+        parse_poly("x1", GF3, 2)
+    for text in ("(" * 101 + "x0" + ")" * 101, "-" * 101 + "x0",
+                 "(" * 10_000 + "1" + ")" * 10_000, "-" * 10_000 + "1",
+                 "x0*(" + "-(" * 10_000 + "x1" + ")" * 10_001):
+        with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+            parse_poly(text, GF3, 2)
 
 
 def test_evaluate_examples():

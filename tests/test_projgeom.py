@@ -8,12 +8,13 @@ from fqpoints.errors import InconsistentFiltersError
 from fqpoints.gf import make_field
 from fqpoints.projgeom import (
     LinearSubspace,
-    ProjectivePoint,
     enumerate_hyperplanes,
     enumerate_points,
+    normalize_point,
     nullspace,
     pi,
     point_from_text,
+    point_text,
     rank,
     rref,
 )
@@ -46,7 +47,7 @@ def test_pi_recurrence_and_difference_scaling():
 
 
 def test_point_enumeration_order_p1_f2():
-    pts = [str(P) for P in enumerate_points(1, GF2)]
+    pts = [point_text(GF2, P) for P in enumerate_points(1, GF2)]
     assert pts == ["(1:0)", "(1:1)", "(0:1)"]
 
 
@@ -54,24 +55,24 @@ def test_point_enumeration_distinct_and_normalized():
     pts = list(enumerate_points(2, GF4))
     assert len(pts) == len(set(pts)) == pi(2, 4) == 21
     for P in pts:
-        lead = next(c for c in P.coords if c)
+        lead = next(c for c in P if c)
         assert lead == 1
 
 
 def test_point_normalization_and_equality():
-    P = ProjectivePoint.from_coords(GF3, [2, 1, 0])
-    Q = ProjectivePoint.from_coords(GF3, [1, 2, 0])
-    assert P == Q and str(P) == "(1:2:0)"
+    P = normalize_point(GF3, [2, 1, 0])
+    Q = normalize_point(GF3, [1, 2, 0])
+    assert P == Q and point_text(GF3, P) == "(1:2:0)"
     with pytest.raises(ValueError):
-        ProjectivePoint.from_coords(GF3, [0, 0, 0])
+        normalize_point(GF3, [0, 0, 0])
 
 
 def test_point_from_text():
     P = point_from_text("(1:0:1)", GF2, 2)
-    assert P.coords == (1, 0, 1)
+    assert P == (1, 0, 1)
     assert point_from_text("1,0,1", GF2, 2) == P
     Q = point_from_text("(a:1)", GF4, 1)
-    assert Q == ProjectivePoint.from_coords(GF4, [GF4.gen(), 1])
+    assert Q == normalize_point(GF4, [GF4.gen(), 1])
     with pytest.raises(ValueError):
         point_from_text("(1:0)", GF2, 2)
 
@@ -102,7 +103,7 @@ def test_subspace_points_and_membership():
     assert len(pts) == len(set(pts)) == pi(1, 3) == 4
     for P in pts:
         assert line.contains(P)
-    off = ProjectivePoint.from_coords(GF3, [0, 0, 1])
+    off = normalize_point(GF3, [0, 0, 1])
     assert not line.contains(off)
 
 
@@ -113,7 +114,7 @@ def test_dual_forms_vanish_exactly_on_subspace():
     on = set(sub.points())
     for P in enumerate_points(3, GF2):
         vanishes = all(
-            not _dot(w, P.coords, GF2) for w in forms)
+            not _dot(w, P, GF2) for w in forms)
         assert vanishes == (P in on)
 
 
@@ -141,7 +142,7 @@ def test_hyperplane_enumeration_counts():
     assert len(all_h) == pi(3, 2) == 15
     assert len(set(all_h)) == 15
     assert all(h.dim == 2 for h in all_h)
-    P = ProjectivePoint.from_coords(GF2, [1, 0, 0, 0])
+    P = normalize_point(GF2, [1, 0, 0, 0])
     through = list(enumerate_hyperplanes(3, GF2, through=P))
     assert len(through) == pi(2, 2) == 7
     assert all(h.contains(P) for h in through)
@@ -153,7 +154,7 @@ def test_hyperplane_filters_containing_and_excluding():
     containing = [h for h in enumerate_hyperplanes(3, GF2)
                   if h.contains_subspace(line)]
     assert len(containing) == pi(1, 2) == 3
-    P = ProjectivePoint.from_coords(GF2, [1, 0, 0, 0])
+    P = normalize_point(GF2, [1, 0, 0, 0])
     excl = list(enumerate_hyperplanes(3, GF2, through=P, excluding_containing=line))
     assert len(excl) == pi(2, 2) - pi(1, 2) == 4
     assert all(h.contains(P) and not h.contains_subspace(line) for h in excl)
@@ -161,7 +162,7 @@ def test_hyperplane_filters_containing_and_excluding():
 
 def test_inconsistent_filters_raise():
     line = LinearSubspace.from_spanning(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    off = ProjectivePoint.from_coords(GF2, [0, 0, 1, 0])
+    off = normalize_point(GF2, [0, 0, 1, 0])
     with pytest.raises(InconsistentFiltersError):
         list(enumerate_hyperplanes(3, GF2, through=off, excluding_containing=line))
 
@@ -181,7 +182,7 @@ def test_double_counting_points_and_hyperplanes():
             for Q in enumerate_points(n, F):
                 if Q == P:
                     continue
-                if not _dot(w, Q.coords, F):
+                if not _dot(w, Q, F):
                     per_point[Q] = per_point.get(Q, 0) + 1
         assert all(v == pi(n - 2, q) for v in per_point.values())
         assert sum(per_point.values()) == (pi(n, q) - 1) * pi(n - 2, q)
@@ -201,5 +202,5 @@ def test_form_polynomials_match_membership():
     sub = LinearSubspace.from_spanning(GF3, [[1, 0, 2, 0], [0, 1, 1, 1]])
     polys = sub.form_polynomials()
     for P in enumerate_points(3, GF3):
-        vanishes = all(f.evaluate(P.coords) == 0 for f in polys)
+        vanishes = all(f.evaluate(P) == 0 for f in polys)
         assert vanishes == sub.contains(P)

@@ -28,7 +28,7 @@ def brute_counts(n, d, q):
     incremental sweep must match."""
     field = field_from_order(q)
     points = list(enumerate_points(n, field))
-    return [sum(1 for P in points if not f.evaluate(list(P.coords)))
+    return [sum(1 for P in points if not f.evaluate(P))
             for f in enumerate_forms(field, n + 1, d)]
 
 
@@ -78,3 +78,19 @@ def test_empty_field_list_is_rejected(family, qs):
                           "--degree", "1", "--qs", qs])
     assert (code, out) == (2, "")
     assert "no field sizes" in err
+
+
+def test_rows_over_the_bound_exit_1(monkeypatch):
+    # with the Serre bound patched to one below the true maximum, every
+    # form at the maximum is a violation: stderr counts them, exit is 1
+    rows, bad = sweep_rows("all_hypersurfaces", n=2, degree=2, qs=(3,))
+    top = max(r["count"] for r in rows)
+    assert not bad and top == bound_serre(2, 2, 3)
+    over = sum(1 for r in rows if r["count"] == top)
+    monkeypatch.setattr(fqpoints.sweeps, "bound_serre",
+                        lambda n, d, q: top - 1)
+    code, out, err = run(["sweep", "--family", "all_hypersurfaces",
+                          "--n", "2", "--degree", "2", "--qs", "3"])
+    assert code == 1
+    assert err == f"{over} violation(s) found\n"
+    assert out.count("\n") == len(rows) + 1

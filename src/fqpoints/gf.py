@@ -119,6 +119,22 @@ class FieldSpec:
             return pow(a, e, self.p)
         return self._exp[self._log[a] * e % (self.q - 1)]
 
+    def log_exp(self) -> tuple:
+        """(log, exp) of an extension field, for code that works on whole
+        columns of elements: log[a] is the discrete log of a != 0 (None at
+        0), and exp[i] = g^i for 0 <= i < 2(q - 1)."""
+        return self._log, self._exp
+
+    def digit_code(self, base: int) -> list:
+        """code[a]: the coefficient vector of a, as `coeffs` gives it, read
+        as the digits of an int in base `base` >= p, for code that adds
+        whole columns of elements as plain ints. A sum of codes adds the
+        vectors digit by digit, with no carry while each digit sum stays
+        below base, and only 0 has code 0. The table has q entries."""
+        weights = [base ** i for i in range(self.k)]
+        return [sum(c * w for c, w in zip(self.coeffs(a), weights))
+                for a in range(self.q)]
+
     def gen(self) -> int:
         """The residue of x, written `a`; only extensions have one."""
         if self.k == 1:

@@ -20,7 +20,9 @@ from .errors import (
 from .projgeom import enumerate_hyperplanes, pi, point_text
 from .variety import (
     Variety,
-    _on_union,
+    _union_mask,
+    _zero_mask_kernel,
+    _zero_tally,
     classify_components,
     dimension_degree_sequences,
     rational_points,
@@ -91,14 +93,14 @@ def _pencil_incidences(X: Variety, P: tuple, budget: int, L=None):
 
     V1 is X(F_q) minus P, or minus the subspace L when one is given; the
     pencil is the hyperplanes through P (not containing L); a valency is the
-    number of V1 points on one pencil member, in pencil order. Each
-    incidence test is one dot product with the member's cached dual form."""
+    number of V1 points on one pencil member, in pencil order: the number
+    of zeros of the member's dual form, a linear polynomial, over V1."""
     pts = rational_points(X, budget=budget)
     v1 = [Q for Q in pts if (Q != P if L is None else not L.contains(Q))]
     pencil = list(enumerate_hyperplanes(X.n, X.field, through=P,
                                         excluding_containing=L))
-    valencies = tuple((str(H.form_polynomials()[0]),
-                       sum(1 for Q in v1 if H.contains(Q))) for H in pencil)
+    forms = [H.form_polynomials()[0] for H in pencil]
+    valencies = tuple(zip(map(str, forms), _zero_tally(X.field, v1, forms)))
     return v1, pencil, valencies, sum(v for _, v in valencies)
 
 
@@ -111,7 +113,8 @@ def census_through_point(X: Variety, P: tuple,
     pi_{n-2} pencil members). When the classification puts every component
     outside every hyperplane, additionally caps each valency by the section
     bound minus one and replays the derived count bound."""
-    if not _on_union([c.ideal.gens for c in X.components], P):
+    gens = [c.ideal.gens for c in X.components]
+    if not _union_mask(_zero_mask_kernel(X.field), [P], gens)[0]:
         raise PointNotOnVarietyError(
             f"{point_text(X.field, P)} is not a rational point of X")
     n, q = X.n, X.q
@@ -124,7 +127,7 @@ def census_through_point(X: Variety, P: tuple,
     section_bound = None
     violations = []
     extra = {}
-    cls = classify_components(X)
+    cls = classify_components(X, _points=v1 + [P])
     extra["classification"] = cls.regime
     if cls.regime == "spanning":
         seq, hyp = dimension_degree_sequences(X)

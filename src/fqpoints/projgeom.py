@@ -51,8 +51,17 @@ def point_text(field: FieldSpec, point: Sequence[int]) -> str:
 
 
 def point_from_text(text: str, field: FieldSpec, n: int) -> tuple:
-    """Parse `(1:0:2)` or `1,0,2` into the normalized tuple of a P^n point."""
-    s = text.strip().lstrip("(").rstrip(")")
+    """Parse `(1:0:2)` or `1,0,2` into the normalized tuple of a P^n point.
+    One pair of parentheses around the whole text is dropped."""
+    s = text.strip()
+    if s[:1] == "(" and s[-1:] == ")":
+        depth = 0
+        for ch in s[:-1]:
+            depth += (ch == "(") - (ch == ")")
+            if not depth:
+                break  # the first "(" closes before the end: not enclosing
+        else:
+            s = s[1:-1]
     sep = ":" if ":" in s else ","
     parts = [part.strip() for part in s.split(sep)]
     if len(parts) != n + 1:

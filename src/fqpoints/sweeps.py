@@ -50,11 +50,14 @@ def _row(kind, n, q, bound, count="", tight="", dims="", degs="",
 def _zero_counts(field: FieldSpec, n: int, degree: int):
     """Point counts on P^n of the forms `enumerate_forms` yields, in its order.
 
-    A value is held as its coefficient vector over GF(p), as `field.coeffs`
-    gives it, written in base 2p - 1: the sum of two such encodings has
-    every digit below 2p - 1, so it never carries, and one lookup in
-    `reduce`, which takes each digit mod p, turns it back into the
-    encoding of the field sum. Zero encodes as 0. When the coefficient of
+    A value is held as `field.digit_code(2p - 1)` writes it: its
+    coefficient vector over GF(p) as the digits of an int in base 2p - 1.
+    The sum of two such codes has every digit below 2p - 1, so it never
+    carries, and one lookup in `reduce`, which takes each digit mod p,
+    turns it back into the code of the field sum. Zero encodes as 0.
+    `reduce` has (2p - 1)^k entries: 2p - 1 over a prime field, and at
+    most 81 over the extensions `field_from_order` builds (q <= 16).
+    When the coefficient of
     monomial u goes from a to b, the column of u scaled by b - a is added
     to the values at the points, one `reduce[v + s]` pass. A scaled column
     is built the first time its step b - a occurs. In the odometer order
@@ -63,6 +66,7 @@ def _zero_counts(field: FieldSpec, n: int, degree: int):
     """
     p, base, nvars = field.p, 2 * field.p - 1, n + 1
     weights = [base ** i for i in range(field.k)]
+    encode = field.digit_code(base)
     reduce = [sum(x // w % base % p * w for w in weights)
               for x in range(base ** field.k)]
     points = list(enumerate_points(n, field))
@@ -78,10 +82,8 @@ def _zero_counts(field: FieldSpec, n: int, degree: int):
             key = (u, field.sub(f.terms.get(u, 0), held.get(u, 0)))
             step = scaled.get(key)
             if step is None:
-                step = scaled[key] = [
-                    sum(d * w for d, w in zip(
-                        field.coeffs(field.mul(key[1], v)), weights))
-                    for v in columns[u]]
+                step = scaled[key] = [encode[field.mul(key[1], v)]
+                                      for v in columns[u]]
             vals = [reduce[v + s] for v, s in zip(vals, step)]
         held = f.terms
         yield vals.count(0)

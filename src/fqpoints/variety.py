@@ -9,6 +9,7 @@ bound, and census layers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence, Union
@@ -238,11 +239,141 @@ def _containment_screen(components: tuple) -> tuple:
 
 # --- point counting ---
 
-def _on_union(gens_per_component: Sequence, coords) -> bool:
-    """Whether coords is a zero of every generator of some one component:
-    membership in the union of the components' zero sets."""
-    return any(all(not g.evaluate(coords) for g in gens)
-               for gens in gens_per_component)
+# Points per block of the evaluation kernel. A block's point tuples,
+# coordinate columns, masks and cached power and term columns are all the
+# kernel holds at once, so its memory does not grow with pi(n). Counts run
+# about as fast at 1024 as at 4096, with a quarter of that memory.
+BLOCK = 1024
+
+
+@functools.lru_cache(maxsize=8)
+def _zero_mask_kernel(F: FieldSpec):
+    """The evaluation kernel over F: a function (points, polys) that yields
+    each polynomial's zero mask over the points, a list of bools in point
+    order. Its tables are built once per field and hold O(q) entries.
+
+    The points are taken as coordinate columns, and each term is evaluated
+    on a whole column at once: a few list passes per term, not a call per
+    point. A factor x^e is taken as x^e' with e' = (e - 1) mod (q - 1) + 1,
+    since x^q = x on F_q. Over a prime field a term is an integer column
+    product reduced mod p, and the terms an integer sum with one % p per
+    point. Over an extension a term is carried in the log domain, log c +
+    sum e' log x_j, where log 0 is a sentinel so negative that a term with a
+    zero factor stays negative, and one lookup maps it back to the term's
+    `F.digit_code(base)`. In characteristic 2 the base is 2, the code is the
+    packed int itself, and terms add by XOR. Otherwise the base exceeds
+    t(p - 1), for t the most terms of any polynomial in the call, so the
+    codes add as plain ints with no carry, and a sum is zero when each of
+    its k digits is 0 mod p. Power and term columns are cached per call, so
+    polynomials that share terms (the members of a pencil) share them."""
+    p, q, k = F.p, F.q, F.k
+    if k > 1:
+        log, exp = F.log_exp()
+        values = {}  # base: the digit codes of g^0, ..., g^(q - 2)
+
+    def masks(points, polys):
+        m = len(points)
+        if not m:
+            yield from ([] for _ in polys)
+            return
+        cols = list(zip(*points))
+        if k > 1:
+            terms_most = max((len(f.terms) for f in polys), default=1)
+            base = 2 if p == 2 else 1 << (terms_most * (p - 1)).bit_length()
+            value = values.get(base)
+            if value is None:
+                code = F.digit_code(base)
+                value = values[base] = [code[v] for v in exp[:q - 1]]
+            weights = [base ** i for i in range(1, k)]
+        # each other factor adds at most (q - 1)(q - 2), so a term with a
+        # zero factor stays negative
+        zero = -q * q * len(cols)
+        powers, terms = {}, {}
+
+        def power(j, e):  # x_j^e, or e * log x_j, as a column
+            got = powers.get((j, e))
+            if got is None:
+                if e == 1:
+                    got = cols[j] if k == 1 else [log[x] if x else zero
+                                                  for x in cols[j]]
+                elif k == 1:
+                    got = [pow(x, e, p) for x in cols[j]]
+                else:
+                    got = [e * v for v in power(j, 1)]
+                powers[j, e] = got
+            return got
+
+        def term(c, factors):
+            got = terms.get((c, factors))
+            if got is not None:
+                return got
+            if not factors:
+                got = [c if k == 1 else value[log[c]]] * m
+            elif k == 1:
+                (j, e), *rest = factors
+                got = power(j, e)
+                if c != 1:
+                    got = [c * v % p for v in got]
+                for j, e in rest:
+                    got = [a * b % p for a, b in zip(got, power(j, e))]
+            else:
+                (j, e), *rest = factors
+                got = [log[c] + v for v in power(j, e)]
+                for j, e in rest:
+                    got = [a + b for a, b in zip(got, power(j, e))]
+                got = [value[v % (q - 1)] if v >= 0 else 0 for v in got]
+            terms[c, factors] = got
+            return got
+
+        for f in polys:
+            total = None
+            for u, c in f.terms.items():
+                t = term(c, tuple((j, (e - 1) % (q - 1) + 1)
+                                  for j, e in enumerate(u) if e))
+                if total is None:
+                    total = t
+                elif p == 2 and k > 1:
+                    total = [a ^ b for a, b in zip(total, t)]
+                else:
+                    total = [a + b for a, b in zip(total, t)]
+            if total is None:
+                yield [True] * m
+            elif k == 1:
+                yield [not v % p for v in total]
+            elif p == 2:
+                yield [not v for v in total]
+            else:
+                on = [not v % base % p for v in total]
+                for w in weights:
+                    on = [a and not v // w % base % p
+                          for a, v in zip(on, total)]
+                yield on
+
+    return masks
+
+
+def _union_mask(kernel, points: list, gens_per_component: Sequence) -> list:
+    """Whether each point is a zero of every generator of some one
+    component: membership in the union of the components' zero sets."""
+    masks = kernel(points, [g for gens in gens_per_component for g in gens])
+    hit = [False] * len(points)
+    for gens in gens_per_component:
+        on = [True] * len(points)
+        for _ in gens:
+            on = [a and b for a, b in zip(on, next(masks))]
+        hit = [a or b for a, b in zip(hit, on)]
+    return hit
+
+
+def _zero_tally(F: FieldSpec, points: list, polys: Sequence) -> list:
+    """The number of zeros of each polynomial among the points."""
+    kernel = _zero_mask_kernel(F)
+    counts = [0] * len(polys)
+    for start in range(0, len(points), BLOCK):
+        block = points[start:start + BLOCK]
+        for i, mask in enumerate(kernel(block, polys)):
+            counts[i] += mask.count(True)
+    return counts
 
 
 def _union_points(field: FieldSpec, n: int, gens_per_component: Sequence,
@@ -251,8 +382,13 @@ def _union_points(field: FieldSpec, n: int, gens_per_component: Sequence,
     if total > budget:
         raise BudgetExceededError(
             f"P^{n}(F_{field.q}) has {total} points, over budget {budget}")
-    return [P for P in enumerate_points(n, field)
-            if _on_union(gens_per_component, P)]
+    kernel = _zero_mask_kernel(field)
+    points = enumerate_points(n, field)
+    out = []
+    while block := list(itertools.islice(points, BLOCK)):
+        out.extend(itertools.compress(
+            block, _union_mask(kernel, block, gens_per_component)))
+    return out
 
 
 def rational_points(X: Variety, budget: int = DEFAULT_BUDGET) -> list:
@@ -311,7 +447,8 @@ def _hyperplane_points(F: FieldSpec, w: tuple,
         yield x
 
 
-def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
+def _linear_factor_sweep(f: Polynomial,
+                         zeros: Optional[set] = None) -> Optional[Polynomial]:
     """The first normalized linear form dividing f, or None. Exact: a
     geometric component of a hypersurface lies in a rational hyperplane
     exactly when the form has a rational linear divisor.
@@ -324,6 +461,7 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
     the zero set of f, one hyperplane point at a time, with no division.
     For d > q that count can reach pi(n-1) with l not dividing f (x0^q*x1 -
     x0*x1^q vanishes on all of P^n), so each form is tried by normal_form.
+    `zeros`, when given, is the zero set of f, already enumerated.
     """
     F, n = f.field, f.nvars - 1
     total = pi(n, F.q)
@@ -337,7 +475,8 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
             if normal_form(f, [ell], GREVLEX).is_zero():
                 return ell
         return None
-    zeros = set(_union_points(F, n, [[f]], DEFAULT_BUDGET))
+    if zeros is None:
+        zeros = set(_union_points(F, n, [[f]], DEFAULT_BUDGET))
     if len(zeros) < pi(n - 1, F.q):
         return None
     free = list(_normalized_tuples(F, n))
@@ -347,8 +486,11 @@ def _linear_factor_sweep(f: Polynomial) -> Optional[Polynomial]:
     return None
 
 
-def classify_components(X: Variety) -> Classification:
-    """Per-component hyperplane-containment status and the census regime."""
+def classify_components(X: Variety, _points=None) -> Classification:
+    """Per-component hyperplane-containment status and the census regime.
+
+    `_points`, when given, is X(F_q); a one-component variety cut out by one
+    form hands it to the divisor search as that form's zero set."""
     out = []
     for comp in X.components:
         if comp.empty:
@@ -362,7 +504,9 @@ def classify_components(X: Variety) -> Classification:
                 "contained", str(comp.hyperplane_forms[0]), "degree_one_slice"))
             continue
         if len(comp.ideal.gens) == 1:
-            ell = _linear_factor_sweep(comp.ideal.gens[0])
+            whole = _points is not None and len(X.components) == 1
+            ell = _linear_factor_sweep(comp.ideal.gens[0],
+                                       set(_points) if whole else None)
             if ell is not None:
                 out.append(ComponentClass(
                     comp.name, comp.dim, comp.degree, comp.is_linear,
@@ -460,7 +604,7 @@ def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
             for g in comp.ideal.gens)
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)
-    section = sum(1 for P in pts if not _dot(F, w, P))
+    section = _zero_tally(F, pts, [form])[0]
     return AffineChart(X.field, X.n, form, pivot, tuple(off), tuple(on),
                        len(pts), section, len(pts) - section)
 

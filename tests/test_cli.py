@@ -188,13 +188,16 @@ def test_bad_document_value_names_its_line(capsys, tmp_path, doc, line):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("point", ["1:0:0", "0:0:0:0"],
-                         ids=["wrong_arity", "all_zero"])
+@pytest.mark.parametrize("point", ["1:0:0", "0:0:0:0", "((1:0:0:0",
+                                   "(1:0:0:0"],
+                         ids=["wrong_arity", "all_zero", "two_open",
+                              "unclosed"])
 def test_bad_census_point_exits_2(capsys, cubic_file, point):
     code, out, err = run(capsys, ["census", "--variety", cubic_file,
                                   "--point", point])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
+    assert err.count("\n") == 1
 
 
 def test_expanded_power_over_the_degree_cap_exits_2(capsys, tmp_path):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fqpoints.incidence
+from fqpoints import variety
 from fqpoints.cli import main
 from fqpoints.errors import (
     ComponentIsHyperplaneError,
@@ -170,3 +171,29 @@ def test_valencies_over_the_section_bound_exit_1(monkeypatch):
     violations = [line for line in tail.splitlines()
                   if line.startswith("VIOLATION ")]
     assert len(violations) == len(over)
+
+
+@pytest.mark.parametrize("doc, point, once", [
+    ("field p=3 k=2\nspace n=3\ncomponent name=q\npoly x0*x1 - x2*x3\n",
+     "0:0:0:1", True),
+    ("field p=2 k=1\nspace n=3\ncomponent name=a\npoly x0*x1 - x2*x3\n"
+     "component name=b\npoly x0\npoly x1\n", "0:0:0:1", False),
+])
+def test_census_enumerates_a_hypersurface_once(monkeypatch, doc, point,
+                                               once):
+    """A one-form variety's points serve as the divisor search's zero set;
+    a union's component is still searched on its own zero set."""
+    X = load_variety(doc)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = variety._union_points
+    monkeypatch.setattr(variety, "_union_points", counted)
+    census = census_through_point(X, pt(point, X))
+    assert census.ok
+    assert len(calls) == (1 if once else 2)
+    assert (variety.classify_components(X)
+            == variety.classify_components(X, _points=rational_points(X)))

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from fqpoints.errors import InconsistentFiltersError
+from fqpoints.errors import InconsistentFiltersError, ParseError
 from fqpoints.gf import make_field
 from fqpoints.projgeom import (
     LinearSubspace,
@@ -75,6 +75,24 @@ def test_point_from_text():
     assert Q == normalize_point(GF4, [GF4.gen(), 1])
     with pytest.raises(ValueError):
         point_from_text("(1:0)", GF2, 2)
+
+
+@pytest.mark.parametrize("text, field, want", [
+    ("1:0:0:(0)", GF2, (1, 0, 0, 0)),
+    ("(1:0:0:0)", GF2, (1, 0, 0, 0)),
+    ("1,0,0,0", GF2, (1, 0, 0, 0)),
+    ("(a+1:1)", GF4, normalize_point(GF4, [GF4.add(GF4.gen(), 1), 1])),
+    ("(a+1):(1)", GF4, normalize_point(GF4, [GF4.add(GF4.gen(), 1), 1])),
+])
+def test_point_from_text_strips_one_enclosing_pair(text, field, want):
+    assert point_from_text(text, field, len(want) - 1) == want
+
+
+@pytest.mark.parametrize("text", ["((1:0:0:0", "(1:0:0:0", "1:0:0:0)",
+                                  "((1:0:0:0))"])
+def test_point_from_text_refuses_unbalanced_parentheses(text):
+    with pytest.raises(ParseError):
+        point_from_text(text, GF2, 3)
 
 
 def test_rref_and_rank():

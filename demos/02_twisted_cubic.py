@@ -11,6 +11,7 @@ one and keeps the degree, and the section bound caps its size.
 
 from fqpoints.bounds import bound_projective, bound_serre
 from fqpoints.groebner import hyperplane_section
+from fqpoints.mpoly import linear_form
 from fqpoints.projgeom import enumerate_hyperplanes, pi
 from fqpoints.variety import (
     count_points, dimension_degree_sequences, load_variety, rational_points)
@@ -61,11 +62,11 @@ def main():
     print(f"section bound over F_3: {section.total}")
     pts = rational_points(X)
     sizes = []
-    for H in enumerate_hyperplanes(3, X.field):
-        form = H.form_polynomials()[0]
+    for w in enumerate_hyperplanes(3, X.field):
+        form = linear_form(X.field, w)
         _, hd = hyperplane_section(comp.ideal, form)
         assert hd.dim == 0 and hd.degree == 3
-        size = sum(1 for P in pts if H.contains(P))
+        size = sum(1 for P in pts if not form.evaluate(P))
         sizes.append(size)
         assert size <= section.total
     hist = {s: sizes.count(s) for s in sorted(set(sizes))}

@@ -97,15 +97,8 @@ def cmd_count(args) -> int:
 
 def cmd_hilbert(args) -> int:
     X = load_variety_file(args.variety)
-    wanted = args.component
-    comps = {}
-    for comp in X.components:
-        if wanted and comp.name != wanted:
-            continue
-        data = comp.hilbert.to_json_dict()
-        comps[comp.name] = data
-    if wanted and not comps:
-        raise InvalidSpecError(f"no component named {wanted!r}")
+    wanted = [X.component(args.component)] if args.component else X.components
+    comps = {comp.name: comp.hilbert.to_json_dict() for comp in wanted}
     _emit(_json_text({"n": X.n, "q": X.q, "components": comps}), args.out)
     return 0
 

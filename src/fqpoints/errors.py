@@ -61,6 +61,13 @@ class DegenerateComponentError(ToolkitError):
     """A component's ideal cuts out the whole ambient space."""
 
 
+class UnknownComponentError(ToolkitError, KeyError):
+    """A component name the variety does not have."""
+
+    def __str__(self):  # the message as given, not KeyError's repr of it
+        return str(self.args[0])
+
+
 # --- projective geometry ---
 
 class InconsistentFiltersError(ToolkitError):

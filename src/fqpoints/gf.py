@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import (
+    BudgetExceededError,
     MissingModulusError,
     NotPrimeError,
     ReducibleModulusError,
@@ -34,19 +35,37 @@ _BUILTIN_MODULI = {
 }
 
 
+# Miller-Rabin with the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; fine at the scales this package targets."""
+    """Deterministic Miller-Rabin. A number at or above _MR_EXACT_BELOW that
+    every base passes raises BudgetExceededError instead of being guessed."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while not d % 2:
+        d, s = d // 2, s + 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
+    if n >= _MR_EXACT_BELOW:
+        raise BudgetExceededError(
+            f"{n} passes Miller-Rabin to bases 2..41, which proves primality "
+            f"only below {_MR_EXACT_BELOW}")
     return True
 
 
@@ -174,28 +193,52 @@ class FieldSpec:
 
 def _log_tables(p: int, k: int, modulus: tuple) -> tuple:
     """(exp, log, zech) of GF(p^k) for its first primitive element in
-    packed order. Powers are built as coefficient lists, one schoolbook
-    multiplication by the candidate per power."""
+    packed order. A candidate g is primitive when g^((q-1)/r) != 1 for each
+    prime r dividing q - 1, each power taken by square-and-multiply; then
+    the powers of g alone are walked, one schoolbook multiplication each.
+    Elements are coefficient tuples until they are packed."""
     q = p ** k
     weights = [p ** i for i in range(k)]
+    one = (1,) + (0,) * (k - 1)
+
+    def mul(x, y):
+        prod = [0] * (2 * k - 1)
+        ys = [(j, b) for j, b in enumerate(y) if b]
+        for i, a in enumerate(x):
+            if a:
+                for j, b in ys:
+                    prod[i + j] += a * b
+        return _reduce_by_modulus(prod, p, k, modulus)
+
+    def power(x, e):
+        out = one
+        while e:
+            if e & 1:
+                out = mul(out, x)
+            e >>= 1
+            if e:
+                x = mul(x, x)
+        return out
+
+    cofactors, m, r = [], q - 1, 2
+    while r * r <= m:
+        if not m % r:
+            cofactors.append((q - 1) // r)
+            while not m % r:
+                m //= r
+        r += 1
+    if m > 1:
+        cofactors.append((q - 1) // m)
     for g in range(p, q):
-        gc = [(j, g // w % p) for j, w in enumerate(weights) if g // w % p]
-        exp, x = [1], [1]
-        while True:
-            prod = [0] * (len(x) + gc[-1][0])
-            for i, a in enumerate(x):
-                if a:
-                    for j, b in gc:
-                        prod[i + j] += a * b
-            x = _reduce_by_modulus(prod, p, k, modulus)
-            packed = sum(c * w for c, w in zip(x, weights))
-            if packed == 1:
-                break
-            exp.append(packed)
-        if len(exp) == q - 1:
+        gc = tuple(g // w % p for w in weights)
+        if all(power(gc, c) != one for c in cofactors):
             break
     else:
         raise ValueError(f"modulus {modulus} has no primitive element")
+    exp, x = [1], one
+    for _ in range(q - 2):
+        x = mul(x, gc)
+        exp.append(sum(c * w for c, w in zip(x, weights)))
     log = [None] * q
     for i, v in enumerate(exp):
         log[v] = i
@@ -324,24 +367,26 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
     return FieldSpec(p, k, tuple(coeffs), p ** k)
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple | None:
     """(p, k) with q = p^k and p prime, or None when q is not a prime power.
-    The smallest factor of q is prime, so no primality test is needed."""
+    Only the largest k with q = r^k can give a prime r, so k runs down from
+    log2(q) to the first integer k-th root; k = 1 always has one."""
     if q < 2:
         return None
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 1
-    else:
-        p = q
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        k += 1
-    return (p, k) if m == 1 else None
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = _iroot(q, k)
+        if r ** k == q:
+            return (r, k) if is_prime(r) else None
 
 
 def field_from_order(q: int) -> FieldSpec:

@@ -17,6 +17,7 @@ from .errors import (
     PointNotOnComponentError,
     PointNotOnVarietyError,
 )
+from .mpoly import linear_form
 from .projgeom import enumerate_hyperplanes, pi, point_text
 from .variety import (
     Variety,
@@ -99,7 +100,7 @@ def _pencil_incidences(X: Variety, P: tuple, budget: int, L=None):
     v1 = [Q for Q in pts if (Q != P if L is None else not L.contains(Q))]
     pencil = list(enumerate_hyperplanes(X.n, X.field, through=P,
                                         excluding_containing=L))
-    forms = [H.form_polynomials()[0] for H in pencil]
+    forms = [linear_form(X.field, w) for w in pencil]
     valencies = tuple(zip(map(str, forms), _zero_tally(X.field, v1, forms)))
     return v1, pencil, valencies, sum(v for _, v in valencies)
 

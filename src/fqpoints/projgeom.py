@@ -1,12 +1,13 @@
 """Projective spaces over finite fields: points, subspaces, hyperplanes.
 
 Points are coordinate tuples normalized so the first nonzero entry is 1.
-Subspaces are stored as RREF bases of their underlying linear spaces, which
-makes equality and hashing canonical. A point lies on a subspace when every
-one of the subspace's dual forms (a basis of the linear forms vanishing on
-it, computed once and cached) vanishes at the point. A hyperplane has a
-single dual form, so each point-hyperplane incidence costs one dot product.
-q-ary counts use pi(j) = |P^j(F_q)|, with pi(j) = 0 for negative j.
+A hyperplane is its dual form w, the tuple of coefficients of the linear
+form vanishing on it, normalized the same way; a point x lies on it when
+w . x = 0. Other subspaces are stored as RREF bases of their underlying
+linear spaces, which makes equality and hashing canonical. A point lies on
+a subspace when every one of the subspace's dual forms (a basis of the
+linear forms vanishing on it, computed once and cached) vanishes at the
+point. q-ary counts use pi(j) = |P^j(F_q)|, with pi(j) = 0 for negative j.
 """
 
 from __future__ import annotations
@@ -66,8 +67,9 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> tuple:
     parts = [part.strip() for part in s.split(sep)]
     if len(parts) != n + 1:
         raise BadPointError(f"expected {n + 1} coordinates, got {len(parts)}")
-    # each coordinate is a constant expression such as 2, -1 or a+1
-    coords = [parse_poly(part, field, 1).evaluate((0,)) for part in parts]
+    # each coordinate is a constant expression such as 2, -1 or a+1, read
+    # in zero variables so that any x... is refused
+    coords = [parse_poly(part, field, 0).evaluate(()) for part in parts]
     return normalize_point(field, coords)
 
 
@@ -158,14 +160,6 @@ class LinearSubspace:
             raise ValueError("spanning rows are all zero")
         return cls(field, n, tuple(red))
 
-    @classmethod
-    def from_dual_form(cls, field: FieldSpec, form: Sequence[int]) -> "LinearSubspace":
-        w = tuple(form)
-        sol = nullspace([w], field, len(w))
-        out = cls(field, len(w) - 1, tuple(sol))
-        out._dual = (w,)
-        return out
-
     @property
     def dim(self) -> int:
         return len(self.rows) - 1
@@ -223,8 +217,9 @@ class LinearSubspace:
 def enumerate_hyperplanes(n: int, field: FieldSpec,
                           through: Optional[tuple] = None,
                           excluding_containing: Optional[LinearSubspace] = None
-                          ) -> Iterator[LinearSubspace]:
-    """Hyperplanes of P^n by normalized dual form, with incidence filters.
+                          ) -> Iterator[tuple]:
+    """The normalized dual forms of the hyperplanes of P^n, in the order of
+    `enumerate_points`, with incidence filters.
 
     `through` keeps hyperplanes on a point, `excluding_containing` drops
     those containing a subspace. When both are given the point must lie on
@@ -241,4 +236,4 @@ def enumerate_hyperplanes(n: int, field: FieldSpec,
         if excluding_containing is not None and not any(
                 _dot(field, w, row) for row in excluding_containing.rows):
             continue
-        yield LinearSubspace.from_dual_form(field, w)
+        yield w

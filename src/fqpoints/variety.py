@@ -20,12 +20,13 @@ from .errors import (
     DegenerateComponentError,
     NotHomogeneousError,
     ParseError,
+    UnknownComponentError,
 )
 from .gf import FieldSpec, make_field
 from .groebner import GroebnerBasis, HilbertData, Ideal, buchberger, hilbert, normal_form
 from .mpoly import (DEGREE_CAP, GREVLEX, Polynomial, chart_transform,
                     form_vector, linear_form, parse_poly)
-from .projgeom import (LinearSubspace, _dot, _normalized_tuples,
+from .projgeom import (LinearSubspace, _dot, enumerate_hyperplanes,
                        enumerate_points, nullspace, pi)
 
 DEFAULT_BUDGET = 10 ** 7
@@ -75,7 +76,7 @@ class Variety:
         for c in self.components:
             if c.name == name:
                 return c
-        raise KeyError(f"no component named {name!r}")
+        raise UnknownComponentError(f"no component named {name!r}")
 
 
 @dataclass(frozen=True)
@@ -470,7 +471,7 @@ def _linear_factor_sweep(f: Polynomial,
             f"the linear-divisor search over P^{n}(F_{F.q}) tries {total} "
             f"forms, over budget {DEFAULT_BUDGET}")
     if f.degree() > F.q:
-        for w in _normalized_tuples(F, n + 1):
+        for w in enumerate_hyperplanes(n, F):
             ell = linear_form(F, w)
             if normal_form(f, [ell], GREVLEX).is_zero():
                 return ell
@@ -479,8 +480,8 @@ def _linear_factor_sweep(f: Polynomial,
         zeros = set(_union_points(F, n, [[f]], DEFAULT_BUDGET))
     if len(zeros) < pi(n - 1, F.q):
         return None
-    free = list(_normalized_tuples(F, n))
-    for w in _normalized_tuples(F, n + 1):
+    free = list(enumerate_points(n - 1, F))
+    for w in enumerate_hyperplanes(n, F):
         if all(x in zeros for x in _hyperplane_points(F, w, free)):
             return linear_form(F, w)
     return None
@@ -575,15 +576,9 @@ class AffineChart:
         return count
 
 
-def affine_chart(X: Variety, h, budget: int = DEFAULT_BUDGET) -> AffineChart:
-    """Split X along the hyperplane {h = 0}; h is a linear Polynomial or a
-    LinearSubspace of dimension n-1."""
-    if isinstance(h, LinearSubspace):
-        if h.dim != X.n - 1:
-            raise ValueError("chart needs a hyperplane, not a smaller subspace")
-        form = h.form_polynomials()[0]
-    else:
-        form = h
+def affine_chart(X: Variety, form: Polynomial,
+                 budget: int = DEFAULT_BUDGET) -> AffineChart:
+    """Split X along the hyperplane {form = 0}; form is a linear Polynomial."""
     if form.is_zero() or form.degree() != 1 or not form.homogeneous:
         raise ValueError("chart needs a nonzero linear form")
     F, nvars = X.field, X.n + 1

@@ -30,7 +30,8 @@ from fqpoints.groebner import (
     normal_form,
 )
 from fqpoints.incidence import census_through_point
-from fqpoints.mpoly import GREVLEX, LEX, Polynomial, monomials_of_degree
+from fqpoints.mpoly import (GREVLEX, LEX, Polynomial, linear_form,
+                            monomials_of_degree)
 from fqpoints.projgeom import enumerate_hyperplanes, enumerate_points, pi
 from fqpoints.variety import (
     affine_chart,
@@ -141,8 +142,8 @@ def test_criterion_5_twisted_cubic_end_to_end():
             failures.append(("count", q, got, cap))
         if q in (3, 4):  # 10 + 10 random section checks
             pool = list(enumerate_hyperplanes(3, X.field))
-            for H in rng.sample(pool, 10):
-                form = H.form_polynomials()[0]
+            for w in rng.sample(pool, 10):
+                form = linear_form(X.field, w)
                 if not normal_form(form, list(curve.gb.basis)):
                     failures.append(("hyperplane contains curve", q))
                     continue
@@ -252,10 +253,10 @@ def test_criterion_10_affine_chart_identity():
     failures = []
     for X in _suite_varieties():
         whole = count_points(X).value
-        for H in enumerate_hyperplanes(X.n, X.field):
-            chart = affine_chart(X, H)
+        for w in enumerate_hyperplanes(X.n, X.field):
+            chart = affine_chart(X, linear_form(X.field, w))
             if chart.projective_count != chart.section_count + chart.affine_count:
-                failures.append(("split", str(H.dual_forms()[0]), whole))
+                failures.append(("split", str(w), whole))
             cap = sum(comp.degree * X.q ** comp.dim
                       for comp in chart.components_off if comp.dim >= 0)
             if chart.affine_count > cap:

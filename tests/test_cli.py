@@ -189,15 +189,53 @@ def test_bad_document_value_names_its_line(capsys, tmp_path, doc, line):
 
 
 @pytest.mark.parametrize("point", ["1:0:0", "0:0:0:0", "((1:0:0:0",
-                                   "(1:0:0:0"],
+                                   "(1:0:0:0", "1:0:0:x0+1", "1:0:0:x0"],
                          ids=["wrong_arity", "all_zero", "two_open",
-                              "unclosed"])
+                              "unclosed", "variable_sum", "variable"])
 def test_bad_census_point_exits_2(capsys, cubic_file, point):
     code, out, err = run(capsys, ["census", "--variety", cubic_file,
                                   "--point", point])
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and "Traceback" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--point", "0:0:0:1", "--linear-component", "Q"],
+    ["hilbert", "--component", "Q"],
+], ids=["census", "hilbert"])
+def test_unknown_component_exits_2(capsys, cubic_file, argv):
+    code, out, err = run(capsys, argv[:1] + ["--variety", cubic_file]
+                         + argv[1:])
+    assert (code, out, err) == (2, "", "error: no component named 'Q'\n")
+
+
+def test_bound_over_a_large_prime_field_exits_0_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["bound", "--kind", "projective",
+                                "--components", "1:1", "--n", "3",
+                                "--q", "1000000000000000003"])
+    assert time.perf_counter() - start < 2
+    assert code == 0 and json.loads(out)["total"] == 1000000000000000004
+
+
+def test_count_over_a_large_prime_field_exits_2_quickly(capsys, tmp_path):
+    path = tmp_path / "bigp.var"
+    path.write_text("field p=1000000000000000003 k=1\nspace n=2\n"
+                    "component name=a\npoly x0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["count", "--variety", str(path)])
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err.startswith("error: P^2(F_1000000000000000003) has ")
+
+
+def test_probable_prime_past_the_exact_bound_exits_2(capsys):
+    code, out, err = run(capsys, ["bound", "--kind", "projective",
+                                  "--components", "1:1", "--n", "3",
+                                  "--q", str(2 ** 89 - 1)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_expanded_power_over_the_degree_cap_exits_2(capsys, tmp_path):

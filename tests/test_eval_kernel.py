@@ -27,7 +27,8 @@ from fqpoints.gf import field_from_order, make_field
 from fqpoints.groebner import Ideal
 from fqpoints.incidence import census_through_point
 from fqpoints.mpoly import Polynomial, monomials_of_degree, parse_poly
-from fqpoints.projgeom import enumerate_hyperplanes, enumerate_points, pi
+from fqpoints.projgeom import (LinearSubspace, enumerate_hyperplanes,
+                               enumerate_points, nullspace, pi)
 from fqpoints.variety import (BLOCK, _union_points, _zero_mask_kernel,
                               _zero_tally, affine_chart, count_points,
                               load_variety, rational_points)
@@ -90,7 +91,8 @@ def test_documents_match_the_per_point_oracle(q):
 @pytest.mark.parametrize("q", QS)
 def test_pencil_valencies_match_contains(q):
     """Each census valency equals the number of V1 points that
-    LinearSubspace.contains puts on the pencil member."""
+    LinearSubspace.contains puts on the pencil member, a subspace built
+    from the member's dual form by nullspace."""
     for text, n in documents(q):
         X = load_variety(text)
         pts = rational_points(X)
@@ -99,8 +101,10 @@ def test_pencil_valencies_match_contains(q):
         P = pts[-1]
         census = census_through_point(X, P)
         v1 = [Q for Q in pts if Q != P]
-        want = [sum(1 for Q in v1 if H.contains(Q))
-                for H in enumerate_hyperplanes(n, X.field, through=P)]
+        members = [LinearSubspace(X.field, n,
+                                  tuple(nullspace([w], X.field, n + 1)))
+                   for w in enumerate_hyperplanes(n, X.field, through=P)]
+        want = [sum(1 for Q in v1 if H.contains(Q)) for H in members]
         assert [v for _, v in census.valencies] == want, text
 
 

@@ -5,12 +5,14 @@ import itertools
 import pytest
 
 from fqpoints.errors import (
+    BudgetExceededError,
     FieldMismatchError,
     MissingModulusError,
     NotPrimeError,
     ReducibleModulusError,
     WrongFieldError,
 )
+from fqpoints import gf
 from fqpoints.gf import (
     FieldSpec,
     field_from_order,
@@ -180,6 +182,51 @@ def test_prime_power_against_trial_factoring():
 def test_is_prime_small_table():
     primes = [n for n in range(2, 60) if is_prime(n)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+
+@pytest.mark.parametrize("n, want", [
+    (2 ** 61 - 1, True),
+    (1_000_000_000_000_000_003, True),
+    (3_215_031_751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+    (3_825_123_056_546_413_051, False),  # to every prime base up to 31
+    (3 * (2 ** 89 - 1), False),  # composite past the exact bound
+])
+def test_is_prime_on_large_inputs(n, want):
+    assert is_prime(n) is want
+
+
+def test_is_prime_refuses_a_probable_prime_past_the_exact_bound():
+    with pytest.raises(BudgetExceededError):
+        is_prime(2 ** 89 - 1)
+
+
+@pytest.mark.parametrize("q, want", [
+    ((2 ** 31 - 1) ** 2, (2 ** 31 - 1, 2)),
+    (3 ** 40, (3, 40)),
+    ((2 ** 31 - 1) * (2 ** 61 - 1), None),
+    (2 ** 64, (2, 64)),
+    (6 ** 20, None),
+])
+def test_prime_power_on_large_inputs(q, want):
+    assert prime_power(q) == want
+
+
+def test_log_tables_walk_one_candidate(monkeypatch):
+    """x is not primitive mod x^10 + 2x^8 + 1 over GF(3), and neither are
+    the next candidates; the order test rejects them without walking their
+    powers, so building the tables costs about q reductions, not q per
+    candidate tried."""
+    calls = []
+    real = gf._reduce_by_modulus
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(gf, "_reduce_by_modulus", counted)
+    F = make_field(3, 10, "x^10+2*x^8+1")
+    assert F.log_exp()[1][1] != F.gen()
+    assert len(calls) < 2 * F.q
 
 
 def test_find_irreducible_matches_exhaustive_check():

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fqpoints.incidence
+import fqpoints.projgeom
 from fqpoints import variety
 from fqpoints.cli import main
 from fqpoints.errors import (
@@ -197,3 +198,19 @@ def test_census_enumerates_a_hypersurface_once(monkeypatch, doc, point,
     assert len(calls) == (1 if once else 2)
     assert (variety.classify_components(X)
             == variety.classify_components(X, _points=rational_points(X)))
+
+
+def test_census_through_a_point_solves_no_linear_system(monkeypatch):
+    """Pencil members are dual-form tuples: a census through a point of a
+    one-quadric variety reaches neither rref nor nullspace."""
+    X = load_variety("field p=3 k=2\nspace n=3\ncomponent name=q\n"
+                     "poly x0*x1 - x2*x3\n")
+    P = pt("0:0:0:1", X)
+    want = census_through_point(X, P)
+
+    def refused(*args):
+        raise AssertionError("rref called during a census through a point")
+
+    monkeypatch.setattr(fqpoints.projgeom, "rref", refused)
+    got = census_through_point(X, P)
+    assert got.ok and got.valencies == want.valencies

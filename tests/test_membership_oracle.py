@@ -15,6 +15,7 @@ from fqpoints.incidence import census_linear_component, census_through_point
 from fqpoints.projgeom import (
     LinearSubspace,
     enumerate_points,
+    nullspace,
     point_from_text,
     rank,
 )
@@ -74,7 +75,7 @@ def oracle_valencies(X, P, L=None):
         v1 = [Q for Q in pts if not on(L, Q, F)]
     out = []
     for w in enumerate_points(n, F):  # normalized dual vectors
-        H = LinearSubspace.from_dual_form(F, w)
+        H = LinearSubspace(F, n, tuple(nullspace([w], F, n + 1)))
         if not on(H, P, F):
             continue
         if L is not None and all(on(H, row, F) for row in L.rows):

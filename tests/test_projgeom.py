@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from fqpoints.errors import InconsistentFiltersError, ParseError
+from fqpoints.errors import (InconsistentFiltersError, ParseError,
+                             UnknownVariableError)
 from fqpoints.gf import make_field
 from fqpoints.projgeom import (
     LinearSubspace,
@@ -95,6 +96,12 @@ def test_point_from_text_refuses_unbalanced_parentheses(text):
         point_from_text(text, GF2, 3)
 
 
+@pytest.mark.parametrize("text", ["1:0:0:x0+1", "1:0:0:x0", "x3:1:0:0"])
+def test_point_from_text_refuses_variables(text):
+    with pytest.raises(UnknownVariableError):
+        point_from_text(text, GF2, 3)
+
+
 def test_rref_and_rank():
     rows = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     red, pivots = rref(rows, GF2)
@@ -159,23 +166,25 @@ def test_hyperplane_enumeration_counts():
     all_h = list(enumerate_hyperplanes(3, GF2))
     assert len(all_h) == pi(3, 2) == 15
     assert len(set(all_h)) == 15
-    assert all(h.dim == 2 for h in all_h)
+    assert all(normalize_point(GF2, w) == w for w in all_h)
     P = normalize_point(GF2, [1, 0, 0, 0])
     through = list(enumerate_hyperplanes(3, GF2, through=P))
     assert len(through) == pi(2, 2) == 7
-    assert all(h.contains(P) for h in through)
+    assert all(not _dot(w, P, GF2) for w in through)
 
 
 def test_hyperplane_filters_containing_and_excluding():
     line = LinearSubspace.from_spanning(GF2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     # hyperplanes through a line of P^3: pi(1) of them
-    containing = [h for h in enumerate_hyperplanes(3, GF2)
-                  if h.contains_subspace(line)]
+    def holds_line(w):
+        return not any(_dot(w, row, GF2) for row in line.rows)
+
+    containing = [w for w in enumerate_hyperplanes(3, GF2) if holds_line(w)]
     assert len(containing) == pi(1, 2) == 3
     P = normalize_point(GF2, [1, 0, 0, 0])
     excl = list(enumerate_hyperplanes(3, GF2, through=P, excluding_containing=line))
     assert len(excl) == pi(2, 2) - pi(1, 2) == 4
-    assert all(h.contains(P) and not h.contains_subspace(line) for h in excl)
+    assert all(not _dot(w, P, GF2) and not holds_line(w) for w in excl)
 
 
 def test_inconsistent_filters_raise():
@@ -195,8 +204,7 @@ def test_double_counting_points_and_hyperplanes():
         hyps = list(enumerate_hyperplanes(n, F, through=P))
         assert len(hyps) == pi(n - 1, q)
         per_point = {}
-        for h in hyps:
-            w = h.dual_forms()[0]
+        for w in hyps:
             for Q in enumerate_points(n, F):
                 if Q == P:
                     continue
@@ -204,16 +212,6 @@ def test_double_counting_points_and_hyperplanes():
                     per_point[Q] = per_point.get(Q, 0) + 1
         assert all(v == pi(n - 2, q) for v in per_point.values())
         assert sum(per_point.values()) == (pi(n, q) - 1) * pi(n - 2, q)
-
-
-def test_hyperplane_from_dual_form_roundtrip():
-    for w_ints in [[1, 0, 0, 0], [1, 1, 0, 1], [0, 0, 1, 1]]:
-        h = LinearSubspace.from_dual_form(GF2, w_ints)
-        assert h.dim == 2
-        w = h.dual_forms()
-        assert len(w) == 1
-        got = LinearSubspace.from_dual_form(GF2, w[0])
-        assert got == h
 
 
 def test_form_polynomials_match_membership():

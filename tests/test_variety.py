@@ -11,7 +11,7 @@ from fqpoints.errors import (
 )
 from fqpoints.gf import make_field
 from fqpoints.groebner import Ideal
-from fqpoints.mpoly import parse_poly
+from fqpoints.mpoly import linear_form, parse_poly
 from fqpoints.projgeom import enumerate_hyperplanes, pi
 from fqpoints.variety import (
     affine_chart,
@@ -262,8 +262,8 @@ component name=L
 def test_affine_chart_identity_across_all_hyperplanes(
         twisted_cubic, skew_lines, quadric, conic_in_plane):
     for X in (twisted_cubic, skew_lines, quadric, conic_in_plane):
-        for H in enumerate_hyperplanes(3, GF2):
-            chart = affine_chart(X, H)
+        for w in enumerate_hyperplanes(3, GF2):
+            chart = affine_chart(X, linear_form(GF2, w))
             assert chart.projective_count == chart.section_count + chart.affine_count
             assert chart.affine_count == chart.count_affine_by_chart()
 

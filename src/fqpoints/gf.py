@@ -215,9 +215,7 @@ def _log_tables(p: int, k: int, modulus: tuple) -> tuple:
         while e:
             if e & 1:
                 out = mul(out, x)
-            e >>= 1
-            if e:
-                x = mul(x, x)
+            x, e = mul(x, x), e >> 1
         return out
 
     cofactors, m, r = [], q - 1, 2

@@ -200,13 +200,12 @@ def test_bad_census_point_exits_2(capsys, cubic_file, point):
     assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
-    ["census", "--point", "0:0:0:1", "--linear-component", "Q"],
-    ["hilbert", "--component", "Q"],
-], ids=["census", "hilbert"])
-def test_unknown_component_exits_2(capsys, cubic_file, argv):
-    code, out, err = run(capsys, argv[:1] + ["--variety", cubic_file]
-                         + argv[1:])
+@pytest.mark.parametrize("command, flags", [
+    ("census", ["--point", "0:0:0:1", "--linear-component", "Q"]),
+    ("hilbert", ["--component", "Q"]),
+])
+def test_unknown_component_exits_2(capsys, cubic_file, command, flags):
+    code, out, err = run(capsys, [command, "--variety", cubic_file, *flags])
     assert (code, out, err) == (2, "", "error: no component named 'Q'\n")
 
 

@@ -9,11 +9,14 @@ hypotheses the caller claims.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import (
     BadSequenceError,
+    BudgetExceededError,
     DimensionTooLargeError,
     TooFewComponentsError,
 )
@@ -61,11 +64,18 @@ class BoundReport:
         }
 
 
-def _check_q(q: int):
+def _check_q(q: int, n: int):
+    """q is a prime power, and pi(n) over q is short enough to print."""
     if not isinstance(q, int) or q < 2:
         raise BadSequenceError(f"q must be an integer >= 2, got {q}")
     if prime_power(q) is None:
         raise BadSequenceError(f"q must be a prime power, got {q}")
+    digits = int(n * math.log10(q)) + 1
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
+    if limit and digits > limit:
+        raise BudgetExceededError(
+            f"pi({n}) over GF({q}) has {digits} or more decimal digits, "
+            f"over the {limit}-digit limit for printed integers")
 
 
 def _norm_components(components: Sequence, n: int) -> list:
@@ -97,7 +107,7 @@ def _norm_components(components: Sequence, n: int) -> list:
 def bound_affine(components: Sequence, n: int, q: int,
                  hypotheses: Optional[dict] = None) -> BoundReport:
     """Upper bound sum delta_i q^(d_i) for affine varieties in A^n."""
-    _check_q(q)
+    _check_q(q, n)
     comps = _norm_components(components, n)
     terms = tuple(BoundTerm(name, d, delta, delta * q ** d)
                   for name, d, delta in comps)
@@ -115,7 +125,7 @@ def bound_projective(components: Sequence, n: int, q: int,
     section: the same with every pi index lowered by one, which bounds
              |X meet H| for any hyperplane H containing no component of X.
     """
-    _check_q(q)
+    _check_q(q, n)
     if mode not in ("ambient", "section"):
         raise ValueError(f"unknown mode {mode!r}")
     comps = _norm_components(components, n)
@@ -143,7 +153,7 @@ def bound_equidimensional(n: int, q: int, d: int, delta: int,
 
 def bound_serre(n: int, delta: int, q: int) -> int:
     """The hypersurface bound delta q^(n-1) + pi(n-2)."""
-    _check_q(q)
+    _check_q(q, n)
     if n < 1:
         raise BadSequenceError(f"ambient dimension must be >= 1, got {n}")
     if delta < 1:
@@ -157,7 +167,7 @@ def bound_linear_arrangement(dims: Sequence[int], n: int, q: int) -> BoundReport
     dimension. Value: pi(d1) + sum_{i>=2} (pi(d_i) - pi(d_i + d1 - n)) with
     d1 the largest input dimension. Also reports the gap below the general
     projective bound for the same dimension data."""
-    _check_q(q)
+    _check_q(q, n)
     if len(dims) < 2:
         raise TooFewComponentsError("arrangement bound needs r >= 2 subspaces")
     order = sorted(range(len(dims)), key=lambda i: (-dims[i], i))
@@ -184,7 +194,7 @@ def bound_conjectural(components: Sequence, n: int, q: int) -> BoundReport:
     """A sharper candidate bound obtained by sorting dimensions decreasingly
     and discounting each component against the largest one. Conjectural:
     reports carry the status and nothing in this package asserts it."""
-    _check_q(q)
+    _check_q(q, n)
     comps = _norm_components(components, n)
     comps = sorted(comps, key=lambda t: -t[1])
     d1 = comps[0][1]
@@ -203,7 +213,7 @@ def bound_conjectural(components: Sequence, n: int, q: int) -> BoundReport:
 
 def tubular_count(d: int, delta: int, q: int) -> int:
     """Exact size of a tubular set: delta q^d + pi(d-1)."""
-    _check_q(q)
+    _check_q(q, d)
     if d < 0:
         raise BadSequenceError(f"dimension must be >= 0, got {d}")
     if delta < 1:
@@ -242,7 +252,7 @@ class MarginReport:
 
 
 def restriction_margin(n: int, q: int, d: int, delta: int) -> MarginReport:
-    _check_q(q)
+    _check_q(q, n)
     if d < 1:
         raise BadSequenceError(f"dimension must be >= 1, got {d}")
     if d > n - 1:
@@ -254,22 +264,6 @@ def restriction_margin(n: int, q: int, d: int, delta: int) -> MarginReport:
     margin = delta * (pi(s + 1, q) - pi(s, q)) - pi(s + 1, q)
     affine_margin = pi(d, q) - pi(s, q) - q ** d
     return MarginReport(n, q, d, delta, margin, affine_margin)
-
-
-def section_scale(components: Sequence, n: int, q: int) -> dict:
-    """Exact relation between the ambient bound and the section bound:
-    ambient = q * section + adjustment, with adjustment the number of
-    low-dimensional degree units (components with 2d < n) plus one when
-    2D >= n. Returned as a dict with all three values."""
-    ambient = bound_projective(components, n, q, "ambient").total
-    section = bound_projective(components, n, q, "section").total
-    comps = _norm_components(components, n)
-    D = max(d for _, d, _ in comps)
-    adjustment = sum(delta for _, d, delta in comps if 2 * d < n)
-    if 2 * D >= n:
-        adjustment += 1
-    return {"ambient": ambient, "section": section, "adjustment": adjustment,
-            "identity_holds": ambient == q * section + adjustment}
 
 
 def csv_row(report: BoundReport, count="", tight="") -> dict:

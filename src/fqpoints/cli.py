@@ -8,6 +8,7 @@ usage or bad input.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import operator
@@ -202,6 +203,7 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # parsing keeps no state, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="fqpoints",

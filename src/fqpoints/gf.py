@@ -33,6 +33,7 @@ _BUILTIN_MODULI = {
     (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
     (3, 2): (1, 0, 1),        # x^2 + 1
 }
+EXTENSION_ORDER_CAP = 2 ** 16  # the largest order of an extension built
 
 
 # Miller-Rabin with the first 13 primes as bases is exact below this bound
@@ -337,7 +338,8 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
 
     `modulus` (text like "x^2+x+1", or an ascending int sequence) is required
     for k > 1 unless a built-in is available; it must be monic of degree
-    exactly k and irreducible over GF(p).
+    exactly k and irreducible over GF(p). An extension of order over
+    EXTENSION_ORDER_CAP raises BudgetExceededError before any table is built.
     """
     if not isinstance(p, int) or not is_prime(p):
         raise NotPrimeError(f"characteristic must be prime, got {p}")
@@ -347,6 +349,9 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
         if modulus is not None:
             raise ValueError("prime fields take no modulus")
         return FieldSpec(p, 1, None, p)
+    if k > 16 or p ** k > EXTENSION_ORDER_CAP:  # k > 16 needs no power
+        raise BudgetExceededError(f"GF({p}^{k}) is over the extension "
+                                  f"order cap of {EXTENSION_ORDER_CAP}")
     if modulus is None:
         coeffs = _BUILTIN_MODULI.get((p, k))
         if coeffs is None:

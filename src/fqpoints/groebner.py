@@ -16,7 +16,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceededError, NotHomogeneousError
 from .gf import FieldSpec
@@ -83,14 +83,10 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
-                order: MonomialOrder = GREVLEX,
-                chooser: Optional[Callable] = None) -> Polynomial:
+                order: MonomialOrder = GREVLEX) -> Polynomial:
     """Fully reduce f: no remainder monomial is divisible by any basis LM.
-
-    `chooser` picks among the reducers whose LM divides the current leading
-    monomial; any choice yields the same result once `basis` is a Groebner
-    basis, and tests exercise that confluence directly.
-    """
+    The first basis element whose LM divides reduces; once `basis` is a
+    Groebner basis any choice gives the same remainder."""
     F = f.field
     basis = [g for g in basis if not g.is_zero()]
     lms = [g.leading_monomial(order) for g in basis]
@@ -98,9 +94,8 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     p = f
     while p:
         lm = p.leading_monomial(order)
-        candidates = [i for i, m in enumerate(lms) if mono_divides(m, lm)]
-        if candidates:
-            i = candidates[0] if chooser is None else chooser(candidates)
+        i = next((i for i, m in enumerate(lms) if mono_divides(m, lm)), None)
+        if i is not None:
             g = basis[i]
             c = F.mul(p.terms[lm], F.inv(g.terms[lms[i]]))
             p = p - g.times_term(c, mono_div(lm, lms[i]))

@@ -12,8 +12,7 @@ of parentheses and unary minus signs at NESTING_CAP levels.
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -467,37 +466,21 @@ def parse_poly(text: str, field: FieldSpec, nvars: int) -> Polynomial:
     return poly
 
 
-# --- chart transforms ---
+# --- affine charts ---
 
-def chart_transform(f: Polynomial, i: int, direction: str) -> Polynomial:
-    """Move between projective and affine charts at coordinate i.
-
-    "dehomogenize" sets x_i = 1 and renames the remaining variables to
-    x0..x{n-2} by closing the gap. "homogenize" inserts a fresh variable at
-    position i (shifting later ones up) with exponents that pad every term to
-    the total degree. The pair is mutually inverse whenever x_i does not
-    divide the homogeneous input.
-    """
-    if direction == "dehomogenize":
-        if not f.homogeneous:
-            raise NotHomogeneousError("dehomogenize needs a homogeneous input")
-        if not 0 <= i < f.nvars:
-            raise DimensionMismatchError(f"chart index {i} out of range")
-        return Polynomial.from_terms(
-            f.field, f.nvars - 1,
-            ((exps[:i] + exps[i + 1:], c) for exps, c in f.terms.items()))
-    if direction == "homogenize":
-        if not 0 <= i <= f.nvars:
-            raise DimensionMismatchError(f"insert index {i} out of range")
-        d = f.degree()
-        return Polynomial.from_terms(
-            f.field, f.nvars + 1,
-            ((exps[:i] + (d - sum(exps),) + exps[i:], c)
-             for exps, c in f.terms.items()))
-    raise ValueError(f"unknown chart direction {direction!r}")
+def dehomogenize(f: Polynomial, i: int) -> Polynomial:
+    """Set x_i = 1 in the homogeneous f and rename the remaining variables
+    to x0..x{n-2} by closing the gap."""
+    if not f.homogeneous:
+        raise NotHomogeneousError("dehomogenize needs a homogeneous input")
+    if not 0 <= i < f.nvars:
+        raise DimensionMismatchError(f"chart index {i} out of range")
+    return Polynomial.from_terms(
+        f.field, f.nvars - 1,
+        ((exps[:i] + exps[i + 1:], c) for exps, c in f.terms.items()))
 
 
-# --- enumeration of forms ---
+# --- monomials ---
 
 def monomials_of_degree(nvars: int, degree: int) -> list:
     """All exponent tuples of the given total degree, deterministic order."""
@@ -514,16 +497,3 @@ def monomials_of_degree(nvars: int, degree: int) -> list:
         raise DimensionMismatchError("need at least one variable")
     rec((), degree, nvars)
     return out
-
-
-def enumerate_forms(field: FieldSpec, nvars: int,
-                    degree: int) -> Iterator[Polynomial]:
-    """All nonzero degree-d forms up to scalars: the first nonzero
-    coefficient (in monomial order) is 1."""
-    monos = monomials_of_degree(nvars, degree)
-    els = list(field.elements())
-    for lead in range(len(monos)):
-        for tail in itertools.product(els, repeat=len(monos) - lead - 1):
-            coeffs = (0,) * lead + (1,) + tail
-            yield Polynomial(field, nvars,
-                             {m: c for m, c in zip(monos, coeffs) if c})

@@ -67,8 +67,10 @@ def point_from_text(text: str, field: FieldSpec, n: int) -> tuple:
     parts = [part.strip() for part in s.split(sep)]
     if len(parts) != n + 1:
         raise BadPointError(f"expected {n + 1} coordinates, got {len(parts)}")
-    # each coordinate is a constant expression such as 2, -1 or a+1, read
-    # in zero variables so that any x... is refused
+    # each coordinate is a constant expression such as 2, -1 or a+1
+    for part in parts:
+        if "x" in part:
+            raise BadPointError(f"point coordinate {part!r} is not a constant")
     coords = [parse_poly(part, field, 0).evaluate(()) for part in parts]
     return normalize_point(field, coords)
 

@@ -33,7 +33,7 @@ from .constructions import (
 )
 from .errors import InvalidSpecError
 from .gf import FieldSpec, field_from_order
-from .mpoly import Polynomial, enumerate_forms, monomials_of_degree
+from .mpoly import Polynomial, monomials_of_degree
 from .projgeom import enumerate_points, pi
 
 SWEEP_FAMILIES = ("all_hypersurfaces", "constructions", "identity_grid",
@@ -48,7 +48,9 @@ def _row(kind, n, q, bound, count="", tight="", dims="", degs="",
 
 
 def _zero_counts(field: FieldSpec, n: int, degree: int):
-    """Point counts on P^n of the forms `enumerate_forms` yields, in its order.
+    """Point counts on P^n of the degree-d forms up to scalars: the points
+    of P^(m-1) for the m monomials of `monomials_of_degree(n + 1, d)`, in
+    the order `enumerate_points(m - 1, field)` walks them.
 
     A value is held as `field.digit_code(2p - 1)` writes it: its
     coefficient vector over GF(p) as the digits of an int in base 2p - 1.
@@ -57,12 +59,12 @@ def _zero_counts(field: FieldSpec, n: int, degree: int):
     turns it back into the code of the field sum. Zero encodes as 0.
     `reduce` has (2p - 1)^k entries: 2p - 1 over a prime field, and at
     most 81 over the extensions `field_from_order` builds (q <= 16).
-    When the coefficient of
-    monomial u goes from a to b, the column of u scaled by b - a is added
-    to the values at the points, one `reduce[v + s]` pass. A scaled column
-    is built the first time its step b - a occurs. In the odometer order
-    of the forms only a few distinct steps occur (at most three over a
-    prime field, five over GF(4), GF(8), GF(9) and GF(16)).
+    When the coefficient of monomial i goes from a to b, the column of i
+    scaled by b - a is added to the values at the points, one
+    `reduce[v + s]` pass. A scaled column is built the first time its
+    step b - a occurs. In the odometer order of the forms only a few
+    distinct steps occur (at most three over a prime field, five over
+    GF(4), GF(8), GF(9) and GF(16)).
     """
     p, base, nvars = field.p, 2 * field.p - 1, n + 1
     weights = [base ** i for i in range(field.k)]
@@ -70,22 +72,23 @@ def _zero_counts(field: FieldSpec, n: int, degree: int):
     reduce = [sum(x // w % base % p * w for w in weights)
               for x in range(base ** field.k)]
     points = list(enumerate_points(n, field))
-    columns = {u: [Polynomial(field, nvars, {u: 1}).evaluate(P)
-                   for P in points]
-               for u in monomials_of_degree(nvars, degree)}
-    scaled = {}  # (u, c): the encoded column of u times c
+    monos = monomials_of_degree(nvars, degree)
+    columns = [[Polynomial(field, nvars, {u: 1}).evaluate(P) for P in points]
+               for u in monos]
+    scaled = {}  # (i, c): the encoded column of monomial i times c
 
     vals = [0] * len(points)
-    held = {}
-    for f in enumerate_forms(field, nvars, degree):
-        for u in {u for u, _ in f.terms.items() ^ held.items()}:
-            key = (u, field.sub(f.terms.get(u, 0), held.get(u, 0)))
-            step = scaled.get(key)
-            if step is None:
-                step = scaled[key] = [encode[field.mul(key[1], v)]
-                                      for v in columns[u]]
-            vals = [reduce[v + s] for v, s in zip(vals, step)]
-        held = f.terms
+    held = (0,) * len(monos)
+    for coeffs in enumerate_points(len(monos) - 1, field):
+        for i, (a, b) in enumerate(zip(held, coeffs)):
+            if a != b:
+                key = (i, field.sub(b, a))
+                step = scaled.get(key)
+                if step is None:
+                    step = scaled[key] = [encode[field.mul(key[1], v)]
+                                          for v in columns[i]]
+                vals = [reduce[v + s] for v, s in zip(vals, step)]
+        held = coeffs
         yield vals.count(0)
 
 
@@ -140,7 +143,11 @@ def _construction_rows(qs) -> list:
     return rows
 
 
-def _identity_rows(qs, max_index: int) -> list:
+def _identity_rows(qs, max_index: int, budget: int) -> list:
+    nrows = (max_index + 1) * (max_index + 4) // 2  # both kinds, per q
+    if len(qs) * nrows > budget:
+        raise InvalidSpecError(f"sweep would build {len(qs)}x{nrows} rows, "
+                               f"over the {budget} budget")
     rows = []
     for q in qs:
         for k in range(0, max_index + 1):
@@ -189,7 +196,7 @@ def sweep_rows(family: str, n=None, degree=None, qs=(2,), max_index=12,
         rows = _construction_rows(qs)
         bad = [r for r in rows if not r["tight"] or r["count"] > r["bound"]]
     elif family == "identity_grid":
-        rows = _identity_rows(qs, max_index)
+        rows = _identity_rows(qs, max_index, budget)
         bad = [r for r in rows if not r["tight"]]
     else:
         rows = _lemma_rows(qs, max_index)

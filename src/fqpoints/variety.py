@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gf import FieldSpec, make_field
 from .groebner import GroebnerBasis, HilbertData, Ideal, buchberger, hilbert, normal_form
-from .mpoly import (DEGREE_CAP, GREVLEX, Polynomial, chart_transform,
+from .mpoly import (DEGREE_CAP, GREVLEX, Polynomial, dehomogenize,
                     form_vector, linear_form, parse_poly)
 from .projgeom import (LinearSubspace, _dot, enumerate_hyperplanes,
                        enumerate_points, nullspace, pi)
@@ -595,7 +595,7 @@ def affine_chart(X: Variety, form: Polynomial,
             on.append(comp.name)
             continue
         affine_gens = tuple(
-            chart_transform(g.compose_linear(rows, nvars), pivot, "dehomogenize")
+            dehomogenize(g.compose_linear(rows, nvars), pivot)
             for g in comp.ideal.gens)
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)

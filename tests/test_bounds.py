@@ -14,7 +14,6 @@ from fqpoints.bounds import (
     bound_serre,
     csv_row,
     restriction_margin,
-    section_scale,
     tubular_count,
     tubular_report,
 )
@@ -184,11 +183,18 @@ def test_scale_identity_exhaustive_grid():
             for r in (1, 2, 3):
                 for combo in itertools.product(dims, repeat=r):
                     comps = [(d, 1 + (i % 3)) for i, d in enumerate(combo)]
-                    rel = section_scale(comps, n, q)
-                    assert rel["identity_holds"]
-                    assert rel["ambient"] >= q * rel["section"] + 1
-                    if rel["section"] >= pi(n - 1, q):
-                        assert rel["ambient"] >= pi(n, q)
+                    ambient = bound_projective(comps, n, q).total
+                    section = bound_projective(comps, n, q, "section").total
+                    # ambient = q * section + adjustment: one per degree
+                    # unit of a component with 2d < n, plus one when the
+                    # top dimension D has 2D >= n
+                    adjustment = sum(delta for d, delta in comps
+                                     if 2 * d < n)
+                    adjustment += 2 * max(combo) >= n
+                    assert ambient == q * section + adjustment
+                    assert ambient >= q * section + 1
+                    if section >= pi(n - 1, q):
+                        assert ambient >= pi(n, q)
 
 
 def test_monotonicity_in_degree_and_dimension():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import sys
 import time
 
 import pytest
@@ -317,3 +318,60 @@ def test_ambient_dimension_499_still_loads(capsys, tmp_path):
     assert (code, out) == (2, "")
     assert err == ("error: Hilbert function range t = 0..1001 is over the "
                    "cap t = 1000\n")
+
+
+def test_variable_in_a_census_point_says_what_is_wrong(capsys, cubic_file):
+    code, out, err = run(capsys, ["census", "--variety", cubic_file,
+                                  "--point", "1:0:0:x0"])
+    assert (code, out) == (2, "")
+    assert err == "error: point coordinate 'x0' is not a constant\n"
+
+
+def test_identity_grid_past_the_budget_exits_2_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sweep", "--family", "identity_grid",
+                                  "--max-index", "20000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: sweep would build 1x200050002 rows, "
+                   "over the 10000000 budget\n")
+    # (M + 1)(M + 4)/2 rows per q, checked for all qs together
+    code, _, err = run(capsys, ["sweep", "--family", "identity_grid",
+                                "--max-index", "12", "--qs", "2,3",
+                                "--budget", "207"])
+    assert (code, err) == (2, "error: sweep would build 2x104 rows, "
+                              "over the 207 budget\n")
+    code, out, _ = run(capsys, ["sweep", "--family", "identity_grid",
+                                "--max-index", "12", "--qs", "2,3",
+                                "--budget", "208"])
+    assert code == 0 and out.count("\n") == 1 + 208
+
+
+def test_extension_field_over_the_order_cap_exits_2_quickly(capsys,
+                                                            tmp_path):
+    path = tmp_path / "gf2_20.var"
+    path.write_text("field p=2 k=20 modulus=x^20+x^3+1\nspace n=1\n"
+                    "component name=a\npoly x0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["count", "--variety", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: GF(2^20) is over the extension order "
+                   "cap of 65536\n")
+
+
+@pytest.mark.parametrize("argv, n, q, digits", [
+    (["--kind", "serre", "--delta", "3", "--n", "500",
+      "--q", "1000000007"], 500, 1000000007, 4501),
+    (["--kind", "linear_arrangement", "--dims", "19999,3", "--n", "20000",
+      "--q", "2", "--format", "csv"], 20000, 2, 6021),
+], ids=["serre", "linear_arrangement"])
+def test_bound_too_long_to_print_exits_2_quickly(capsys, argv, n, q, digits):
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["bound", *argv])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    limit = sys.get_int_max_str_digits()  # 4300 unless set otherwise
+    assert err == (f"error: pi({n}) over GF({q}) has {digits} or more "
+                   f"decimal digits, over the {limit}-digit limit for "
+                   "printed integers\n")

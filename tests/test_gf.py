@@ -229,6 +229,18 @@ def test_log_tables_walk_one_candidate(monkeypatch):
     assert len(calls) < 2 * F.q
 
 
+@pytest.mark.parametrize("p, k, modulus", [
+    (2, 17, "x^17+x^3+1"), (2, 20, "x^20+x^3+1"), (257, 2, "x^2+3"),
+    (2, 10 ** 9, None), (1000000007, 2, None)])
+def test_extension_order_over_the_cap_is_refused_first(monkeypatch,
+                                                        p, k, modulus):
+    # refused before the modulus is parsed or tested
+    monkeypatch.setattr(gf, "upoly_is_irreducible", None)
+    with pytest.raises(BudgetExceededError, match=r"extension order cap"):
+        make_field(p, k, modulus)
+    assert gf.EXTENSION_ORDER_CAP == 2 ** 16
+
+
 def test_find_irreducible_matches_exhaustive_check():
     for p, k in [(2, 1), (3, 1)]:
         F = make_field(p, k)

@@ -21,8 +21,7 @@ from fqpoints.mpoly import (
     NESTING_CAP,
     TERM_WORK_CAP,
     Polynomial,
-    chart_transform,
-    enumerate_forms,
+    dehomogenize,
     form_vector,
     linear_form,
     mono_degree,
@@ -174,32 +173,44 @@ def test_order_axioms_exhaustive():
             assert GREVLEX.key(u) < GREVLEX.key(v)
 
 
+def homogenize(g, i):
+    """Insert a fresh variable at position i, padding every term of g to
+    its total degree: the inverse of `dehomogenize(f, i)` when x_i does
+    not divide the homogeneous f."""
+    d = g.degree()
+    return Polynomial.from_terms(
+        g.field, g.nvars + 1,
+        ((exps[:i] + (d - sum(exps),) + exps[i:], c)
+         for exps, c in g.terms.items()))
+
+
 def test_dehomogenize_and_roundtrip():
     f = parse_poly("x0*x2+x1^2", GF2, 3)
-    g = chart_transform(f, 0, "dehomogenize")
+    g = dehomogenize(f, 0)
     assert g == parse_poly("x1+x0^2", GF2, 2)
-    assert chart_transform(g, 0, "homogenize") == f
+    assert homogenize(g, 0) == f
 
 
 def test_homogenize_appends_when_index_is_nvars():
     g = parse_poly("x1+x0^2", GF2, 2)
-    h = chart_transform(g, 2, "homogenize")
+    h = homogenize(g, 2)
     assert h == parse_poly("x1*x2+x0^2", GF2, 3)
     assert h.homogeneous
+    assert dehomogenize(h, 2) == g
 
 
 def test_roundtrip_on_nontrivial_chart():
     f = parse_poly("x1*x3+x2^2", GF3, 4)
     for i in (0, 1, 3):
-        g = chart_transform(f, i, "dehomogenize")
-        assert chart_transform(g, i, "homogenize") == f
+        g = dehomogenize(f, i)
+        assert homogenize(g, i) == f
 
 
 def test_dehomogenize_requires_homogeneous():
     with pytest.raises(NotHomogeneousError):
-        chart_transform(parse_poly("x0^2+x1", GF2, 2), 0, "dehomogenize")
+        dehomogenize(parse_poly("x0^2+x1", GF2, 2), 0)
     with pytest.raises(DimensionMismatchError):
-        chart_transform(parse_poly("x0^2", GF2, 2), 2, "dehomogenize")
+        dehomogenize(parse_poly("x0^2", GF2, 2), 2)
 
 
 def test_str_parse_roundtrip_examples():
@@ -238,17 +249,6 @@ def test_monomials_of_degree_counts():
             assert len(monos) == math.comb(d + n - 1, n - 1)
             assert len(set(monos)) == len(monos)
             assert all(sum(m) == d for m in monos)
-
-
-def test_enumerate_forms_counts():
-    # 10 cubic monomials on 3 variables; over GF(2) all nonzero forms
-    cubics = list(enumerate_forms(GF2, 3, 3))
-    assert len(cubics) == 2 ** 10 - 1
-    assert len(set(cubics)) == len(cubics)
-    # conics over GF(3) up to scalar: (3^6 - 1) / 2
-    conics = list(enumerate_forms(GF3, 3, 2))
-    assert len(conics) == (3 ** 6 - 1) // 2
-    assert all(f.homogeneous and f.degree() == 2 for f in conics[:20])
 
 
 FIELDS = [GF2, GF3, GF4, GF5]

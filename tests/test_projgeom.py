@@ -1,11 +1,12 @@
 """Projective enumeration, subspace algebra, and the pi identities."""
 
 import itertools
+import re
 
 import pytest
 
-from fqpoints.errors import (InconsistentFiltersError, ParseError,
-                             UnknownVariableError)
+from fqpoints.errors import (BadPointError, InconsistentFiltersError,
+                             ParseError)
 from fqpoints.gf import make_field
 from fqpoints.projgeom import (
     LinearSubspace,
@@ -98,7 +99,10 @@ def test_point_from_text_refuses_unbalanced_parentheses(text):
 
 @pytest.mark.parametrize("text", ["1:0:0:x0+1", "1:0:0:x0", "x3:1:0:0"])
 def test_point_from_text_refuses_variables(text):
-    with pytest.raises(UnknownVariableError):
+    part = next(t for t in text.split(":") if "x" in t)
+    with pytest.raises(BadPointError,
+                       match=f"^point coordinate '{re.escape(part)}' "
+                             "is not a constant$"):
         point_from_text(text, GF2, 3)
 
 

@@ -3,6 +3,7 @@ and the sweep command's input checks."""
 
 import contextlib
 import io
+import itertools
 from math import comb
 
 import pytest
@@ -11,7 +12,7 @@ import fqpoints.sweeps
 from fqpoints.bounds import bound_serre
 from fqpoints.cli import main
 from fqpoints.gf import field_from_order
-from fqpoints.mpoly import enumerate_forms
+from fqpoints.mpoly import Polynomial, monomials_of_degree
 from fqpoints.projgeom import enumerate_points, pi
 from fqpoints.sweeps import sweep_rows
 
@@ -28,8 +29,16 @@ def brute_counts(n, d, q):
     incremental sweep must match."""
     field = field_from_order(q)
     points = list(enumerate_points(n, field))
-    return [sum(1 for P in points if not f.evaluate(P))
-            for f in enumerate_forms(field, n + 1, d)]
+    monos = monomials_of_degree(n + 1, d)
+    els = list(field.elements())
+    counts = []
+    for lead in range(len(monos)):  # first nonzero coefficient is 1
+        for tail in itertools.product(els, repeat=len(monos) - lead - 1):
+            coeffs = (0,) * lead + (1,) + tail
+            f = Polynomial(field, n + 1,
+                           {u: c for u, c in zip(monos, coeffs) if c})
+            counts.append(sum(1 for P in points if not f.evaluate(P)))
+    return counts
 
 
 @pytest.mark.parametrize("n, d, q", [(1, 3, 2), (2, 2, 2), (2, 2, 3),
@@ -60,7 +69,7 @@ def test_serre_bound_is_attained_for_degree_at_most_q(n, d, q):
 
 def test_budget_is_checked_for_every_q_before_any_sweep(monkeypatch):
     calls = []
-    monkeypatch.setattr(fqpoints.sweeps, "enumerate_forms",
+    monkeypatch.setattr(fqpoints.sweeps, "_zero_counts",
                         lambda *args, **kw: calls.append(args) or iter(()))
     code, out, err = run(["sweep", "--family", "all_hypersurfaces",
                           "--n", "2", "--degree", "3", "--qs", "3,16",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 from .errors import (
@@ -64,22 +64,24 @@ class BoundReport:
         }
 
 
-def _check_q(q: int, n: int):
-    """q is a prime power, and pi(n) over q is short enough to print."""
+def _check_q(q: int, n: int, degree: int = 1):
+    """q is a prime power, and no number a bound of this degree (sum) over
+    P^n reports, all below 2 (degree + 1) q^n, is too long to print. An n
+    past 4 * limit is too long at any q and is refused as an int."""
     if not isinstance(q, int) or q < 2:
         raise BadSequenceError(f"q must be an integer >= 2, got {q}")
     if prime_power(q) is None:
         raise BadSequenceError(f"q must be a prime power, got {q}")
-    digits = int(n * math.log10(q)) + 1
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: none
-    if limit and digits > limit:
+    if limit and (n > 4 * limit or math.log10(2 * degree + 2)
+                  + n * math.log10(q) >= limit):
         raise BudgetExceededError(
-            f"pi({n}) over GF({q}) has {digits} or more decimal digits, "
-            f"over the {limit}-digit limit for printed integers")
+            f"numbers over P^{n}(F_{q}) can pass the {limit}-digit limit "
+            f"for printed integers")
 
 
-def _norm_components(components: Sequence, n: int) -> list:
-    """Normalize to (name, dim, degree) triples and validate ranges."""
+def _norm_components(components: Sequence, n: int, q: int) -> list:
+    """Normalize to (name, dim, degree) triples and validate ranges and q."""
     if n < 1:
         raise BadSequenceError(f"ambient dimension must be >= 1, got {n}")
     out = []
@@ -101,19 +103,17 @@ def _norm_components(components: Sequence, n: int) -> list:
         if delta < 1:
             raise BadSequenceError(f"component {name}: degree must be >= 1")
         out.append((name, d, delta))
+    _check_q(q, n, sum(delta for _, _, delta in out))
     return out
 
 
-def bound_affine(components: Sequence, n: int, q: int,
-                 hypotheses: Optional[dict] = None) -> BoundReport:
+def bound_affine(components: Sequence, n: int, q: int) -> BoundReport:
     """Upper bound sum delta_i q^(d_i) for affine varieties in A^n."""
-    _check_q(q, n)
-    comps = _norm_components(components, n)
+    comps = _norm_components(components, n, q)
     terms = tuple(BoundTerm(name, d, delta, delta * q ** d)
                   for name, d, delta in comps)
     total = sum(t.term for t in terms)
-    return BoundReport("affine", n, q, terms, 0, total,
-                       dict(hypotheses or {}))
+    return BoundReport("affine", n, q, terms, 0, total)
 
 
 def bound_projective(components: Sequence, n: int, q: int,
@@ -125,10 +125,9 @@ def bound_projective(components: Sequence, n: int, q: int,
     section: the same with every pi index lowered by one, which bounds
              |X meet H| for any hyperplane H containing no component of X.
     """
-    _check_q(q, n)
     if mode not in ("ambient", "section"):
         raise ValueError(f"unknown mode {mode!r}")
-    comps = _norm_components(components, n)
+    comps = _norm_components(components, n, q)
     shift = 0 if mode == "ambient" else 1
     terms = tuple(
         BoundTerm(name, d, delta,
@@ -143,21 +142,19 @@ def bound_projective(components: Sequence, n: int, q: int,
     return report
 
 
-def bound_equidimensional(n: int, q: int, d: int, delta: int,
-                          hypotheses: Optional[dict] = None) -> BoundReport:
+def bound_equidimensional(n: int, q: int, d: int, delta: int) -> BoundReport:
     """Equidimensional specialization: delta (pi(d) - pi(2d-n)) + pi(2d-n)."""
-    inner = bound_projective([("all", d, delta)], n, q, "ambient", hypotheses)
-    return BoundReport("equidimensional", n, q, inner.per_component,
-                       inner.tail, inner.total, inner.hypotheses, inner.extra)
+    return replace(bound_projective([("all", d, delta)], n, q),
+                   kind="equidimensional")
 
 
 def bound_serre(n: int, delta: int, q: int) -> int:
     """The hypersurface bound delta q^(n-1) + pi(n-2)."""
-    _check_q(q, n)
     if n < 1:
         raise BadSequenceError(f"ambient dimension must be >= 1, got {n}")
     if delta < 1:
         raise BadSequenceError(f"degree must be >= 1, got {delta}")
+    _check_q(q, n, delta)
     return delta * q ** (n - 1) + pi(n - 2, q)
 
 
@@ -167,12 +164,11 @@ def bound_linear_arrangement(dims: Sequence[int], n: int, q: int) -> BoundReport
     dimension. Value: pi(d1) + sum_{i>=2} (pi(d_i) - pi(d_i + d1 - n)) with
     d1 the largest input dimension. Also reports the gap below the general
     projective bound for the same dimension data."""
-    _check_q(q, n)
     if len(dims) < 2:
         raise TooFewComponentsError("arrangement bound needs r >= 2 subspaces")
     order = sorted(range(len(dims)), key=lambda i: (-dims[i], i))
     sorted_dims = [dims[i] for i in order]
-    comps = _norm_components([(d, 1) for d in sorted_dims], n)
+    comps = _norm_components([(d, 1) for d in sorted_dims], n, q)
     d1 = sorted_dims[0]
     terms = [BoundTerm("m1", d1, 1, pi(d1, q))]
     for i, d in enumerate(sorted_dims[1:], start=2):
@@ -194,8 +190,7 @@ def bound_conjectural(components: Sequence, n: int, q: int) -> BoundReport:
     """A sharper candidate bound obtained by sorting dimensions decreasingly
     and discounting each component against the largest one. Conjectural:
     reports carry the status and nothing in this package asserts it."""
-    _check_q(q, n)
-    comps = _norm_components(components, n)
+    comps = _norm_components(components, n, q)
     comps = sorted(comps, key=lambda t: -t[1])
     d1 = comps[0][1]
     terms = tuple(BoundTerm(name, d, delta,
@@ -213,11 +208,11 @@ def bound_conjectural(components: Sequence, n: int, q: int) -> BoundReport:
 
 def tubular_count(d: int, delta: int, q: int) -> int:
     """Exact size of a tubular set: delta q^d + pi(d-1)."""
-    _check_q(q, d)
     if d < 0:
         raise BadSequenceError(f"dimension must be >= 0, got {d}")
     if delta < 1:
         raise BadSequenceError(f"degree must be >= 1, got {delta}")
+    _check_q(q, d, delta)
     return delta * q ** d + pi(d - 1, q)
 
 
@@ -252,7 +247,6 @@ class MarginReport:
 
 
 def restriction_margin(n: int, q: int, d: int, delta: int) -> MarginReport:
-    _check_q(q, n)
     if d < 1:
         raise BadSequenceError(f"dimension must be >= 1, got {d}")
     if d > n - 1:
@@ -260,6 +254,7 @@ def restriction_margin(n: int, q: int, d: int, delta: int) -> MarginReport:
     if delta < 2:
         raise BadSequenceError(
             f"restriction margin is stated for degree >= 2, got {delta}")
+    _check_q(q, n, delta)
     s = 2 * d - n
     margin = delta * (pi(s + 1, q) - pi(s, q)) - pi(s + 1, q)
     affine_margin = pi(d, q) - pi(s, q) - q ** d

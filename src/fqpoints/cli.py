@@ -72,12 +72,12 @@ def _csv_text(rows) -> str:
 def _parse_components(text: str) -> list:
     out = []
     for chunk in text.split(","):
-        d, _, delta = chunk.strip().partition(":")
-        if not _ or not d.strip().lstrip("-").isdigit() \
-                or not delta.strip().lstrip("-").isdigit():
+        d, _, delta = chunk.partition(":")
+        try:
+            out.append((int(d), int(delta)))
+        except ValueError:  # also a number too long to read
             raise InvalidSpecError(
-                f"bad component {chunk!r}, want dim:degree like 2:3")
-        out.append((int(d), int(delta)))
+                f"bad component {chunk!r}, want dim:degree like 2:3") from None
     return out
 
 
@@ -279,10 +279,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ToolkitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (ToolkitError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -5,21 +5,35 @@ d-subspaces, needs 2d < n), flowers (d-subspaces pairwise meeting in a fixed
 common core, needs n <= 2d), and mixed-dimension arrangements. All three
 are arrangements in extremal position, so each meets the arrangement bound
 exactly. Every builder re-checks its output with exact rank arithmetic and,
-at desk scale, by enumerating the union.
+at desk scale, by enumerating the union. Work past SCAN_BUDGET steps is
+refused before any field element or member is listed.
 """
 
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .errors import InfeasibleError, InvalidSpecError
-from .gf import FieldSpec, find_irreducible, upoly_rem
+from .errors import BudgetExceededError, InfeasibleError, InvalidSpecError
+from .gf import FieldSpec, find_irreducible, upoly_rem, upoly_text
 from .projgeom import LinearSubspace, pi, rank
 
 # Most candidate subspaces the first-fit spread packer scans.
 SCAN_BUDGET = 500_000
 # Most placements the extremal-arrangement backtracking search tries.
 ARRANGEMENT_STEPS = 200_000
+
+
+def _check_work(work: int, what: str) -> None:
+    """Refuse, before it starts, a step of over SCAN_BUDGET steps."""
+    if work > SCAN_BUDGET:
+        raise BudgetExceededError(f"{what} is over the budget of "
+                                  f"{SCAN_BUDGET} steps")
+
+
+def _check_pairs(r: int, n: int) -> None:
+    """validate() ranks r(r - 1)/2 pairs, of at most (n + 1)^2 entries."""
+    _check_work(r * (r - 1) // 2 * (n + 1) ** 2,
+                f"validating {r} members of P^{n} pairwise")
 
 
 def _unit_row(length: int, position: int) -> list:
@@ -31,13 +45,6 @@ def _unit_row(length: int, position: int) -> list:
 def _meet_dim(a: LinearSubspace, b: LinearSubspace) -> int:
     """Dimension of the intersection, -1 when it is empty."""
     return a.dim + b.dim + 1 - rank(a.rows + b.rows, a.field)
-
-
-def _union_point_count(members: Sequence[LinearSubspace]) -> int:
-    seen = set()
-    for m in members:
-        seen.update(m.points())
-    return len(seen)
 
 
 def _elem_json(field: FieldSpec, c: int):
@@ -52,20 +59,6 @@ def _rows_json(sub: LinearSubspace) -> list:
 def _field_json(field: FieldSpec) -> dict:
     modulus = list(field.modulus) if field.modulus else None
     return {"p": field.p, "k": field.k, "modulus": modulus}
-
-
-def _modulus_text(field: FieldSpec) -> str:
-    parts = []
-    for e in range(field.k, -1, -1):
-        c = field.modulus[e]
-        if not c:
-            continue
-        if e == 0:
-            parts.append(str(c))
-            continue
-        power = "x" if e == 1 else f"x^{e}"
-        parts.append(power if c == 1 else f"{c}*{power}")
-    return "+".join(parts)
 
 
 def _extremal_after(first: LinearSubspace, earlier: Sequence[LinearSubspace],
@@ -163,12 +156,22 @@ class LinearUnion:
         field = self.field
         head = f"field p={field.p} k={field.k}"
         if field.k > 1:
-            head += f" modulus={_modulus_text(field)}"
+            head += f" modulus={upoly_text(field.modulus, 'x')}"
         lines = [head, f"space n={self.n}"]
         for i, m in enumerate(self.members, start=1):
             lines.append(f"component name=L{i} dim={m.dim} deg=1 irreducible=yes")
             lines.extend(f"poly {f}" for f in m.form_polynomials())
         return "\n".join(lines) + "\n"
+
+
+def _checked(spec: LinearUnion) -> LinearUnion:
+    """spec, re-checked by rank arithmetic and, while P^n has at most 10^6
+    points, by enumerating the union against the arrangement bound."""
+    spec.validate()
+    if pi(spec.n, spec.q) <= 10 ** 6:
+        points = set().union(*(m.points() for m in spec.members))
+        assert len(points) == spec.point_count()
+    return spec
 
 
 def _mul_matrix(field: FieldSpec, modulus, lam, m: int) -> list:
@@ -188,6 +191,9 @@ def _field_reduction_members(n: int, d: int, r: int,
         raise InfeasibleError(
             f"spread of P^{n} holds at most {capacity} members",
             achieved=capacity)
+    # the modulus search and the member scan each walk the q^m tails
+    _check_work(capacity - 1,
+                f"scanning the {field.q}^{m} polynomials of degree {m}")
     modulus = find_irreducible(field, m)
     members = []
     elems = list(field.elements())
@@ -229,9 +235,11 @@ def build_partial_spread(n: int, d: int, r: int,
         raise InvalidSpecError(f"spread needs 0 <= 2d < n, got d={d} n={n}")
     if r < 1:
         raise InvalidSpecError("need at least one member")
+    _check_pairs(r, n)
     if n == 2 * d + 1:
         members = _field_reduction_members(n, d, r, field)
     else:
+        _check_work(field.q, f"listing the {field.q} elements")
         members = []
         scanned = 0
         for cand in enumerate_subspaces(n, d, field):
@@ -248,11 +256,7 @@ def build_partial_spread(n: int, d: int, r: int,
             raise InfeasibleError(
                 f"packer found only {len(members)} disjoint members",
                 achieved=len(members))
-    spec = LinearUnion("spread", n, tuple(members))
-    spec.validate()
-    if pi(n, field.q) <= 10 ** 6:
-        assert _union_point_count(spec.members) == spec.point_count()
-    return spec
+    return _checked(LinearUnion("spread", n, tuple(members)))
 
 
 def build_flower(n: int, d: int, r: int, field: FieldSpec) -> LinearUnion:
@@ -270,6 +274,7 @@ def build_flower(n: int, d: int, r: int, field: FieldSpec) -> LinearUnion:
         raise InfeasibleError(
             f"quotient spread holds at most {capacity} members",
             achieved=capacity)
+    _check_pairs(r, n)
     core_rows = 2 * d - n + 1
     ambient_rows = n + 1
     sub = build_partial_spread(2 * (n - d) - 1, n - d - 1, r, field)
@@ -281,22 +286,17 @@ def build_flower(n: int, d: int, r: int, field: FieldSpec) -> LinearUnion:
     for member in sub.members:
         rows = [tuple(row) + pad for row in member.rows] + list(core.rows)
         petals.append(LinearSubspace.from_spanning(field, rows))
-    spec = LinearUnion("flower", n, tuple(petals), core)
-    spec.validate()
-    if pi(n, field.q) <= 10 ** 6:
-        assert _union_point_count(spec.members) == spec.point_count()
-    return spec
+    return _checked(LinearUnion("flower", n, tuple(petals), core))
 
 
 def _arrangement_candidates(n: int, d1: int, di: int,
-                            field: FieldSpec) -> list:
+                            field: FieldSpec) -> Iterator[LinearSubspace]:
     """Deterministic menu for one member: a forced slice of the first member
     plus a graph over a window of the complementary coordinates."""
     c = max(di + d1 + 1 - n, 0)
     w = di + 1 - c
     length = n + 1
     k_rows = [_unit_row(length, d1 - c + 1 + t) for t in range(c)]
-    out = []
     for offset in range(n - d1 - w + 1):
         for alpha in field.elements():
             rows = []
@@ -305,8 +305,7 @@ def _arrangement_candidates(n: int, d1: int, di: int,
                 if alpha:
                     row[t] = alpha
                 rows.append(row)
-            out.append(LinearSubspace.from_spanning(field, k_rows + rows))
-    return out
+            yield LinearSubspace.from_spanning(field, k_rows + rows)
 
 
 def build_extremal_arrangement(dims: Sequence[int], n: int,
@@ -321,11 +320,11 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
         raise InvalidSpecError("need at least two members")
     if any(d < 0 or d >= n for d in dims):
         raise InvalidSpecError("each dimension must satisfy 0 <= d < n")
+    _check_pairs(len(dims), n)
     ds = tuple(sorted(dims, reverse=True))
     d1 = ds[0]
     first = LinearSubspace.from_spanning(
         field, [_unit_row(n + 1, t) for t in range(d1 + 1)])
-    menus = [_arrangement_candidates(n, d1, di, field) for di in ds[1:]]
 
     chosen: list = []
     best_depth = 0
@@ -333,9 +332,9 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
 
     def place(i: int) -> bool:
         nonlocal best_depth, steps
-        if i == len(menus):
+        if i == len(ds) - 1:
             return True
-        for cand in menus[i]:
+        for cand in _arrangement_candidates(n, d1, ds[i + 1], field):
             steps += 1
             if steps > ARRANGEMENT_STEPS:
                 raise InfeasibleError(
@@ -353,9 +352,4 @@ def build_extremal_arrangement(dims: Sequence[int], n: int,
         raise InfeasibleError(
             f"placed {1 + best_depth} of {len(ds)} members",
             achieved=1 + best_depth)
-
-    spec = LinearUnion("arrangement", n, (first,) + tuple(chosen))
-    spec.validate()
-    got, target = _union_point_count(spec.members), spec.point_count()
-    assert got == target, f"built {got} points, bound says {target}"
-    return spec
+    return _checked(LinearUnion("arrangement", n, (first,) + tuple(chosen)))

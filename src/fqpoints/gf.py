@@ -163,9 +163,11 @@ class FieldSpec:
 
     def elements(self) -> Iterator[int]:
         """All q elements, lexicographic on coefficient tuples, zero first."""
+        if self.k == 1:
+            return iter(range(self.p))
         weights = [self.p ** i for i in range(self.k)]
-        for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield sum(c * w for c, w in zip(coeffs, weights))
+        return (sum(c * w for c, w in zip(coeffs, weights))
+                for coeffs in itertools.product(range(self.p), repeat=self.k))
 
     def coeffs(self, a: int) -> tuple:
         """The coefficient vector (c0, ..., c_{k-1}) over GF(p) of a."""
@@ -173,20 +175,7 @@ class FieldSpec:
 
     def text(self, a: int) -> str:
         """a as the parser reads it: a residue, or a sum of powers of `a`."""
-        if self.k == 1:
-            return str(a)
-        coeffs = self.coeffs(a)
-        parts = []
-        for j in range(self.k - 1, -1, -1):
-            c = coeffs[j]
-            if not c:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                var = "a" if j == 1 else f"a^{j}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return "+".join(parts) if parts else "0"
+        return upoly_text(self.coeffs(a), "a")
 
     def __str__(self):
         return f"GF({self.q})"
@@ -261,6 +250,22 @@ def _reduce_by_modulus(coeffs: list, p: int, k: int, mod: tuple) -> tuple:
 # Used for modulus validation and for the irreducible polynomials that drive
 # the spread construction. Divisors are assumed monic.
 
+def upoly_text(coeffs: Sequence[int], var: str) -> str:
+    """Ascending GF(p) coefficients as text in `var`, highest power first:
+    the printer of field elements (in `a`) and of moduli (in `x`)."""
+    parts = []
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if not c:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        else:
+            power = var if j == 1 else f"{var}^{j}"
+            parts.append(power if c == 1 else f"{c}*{power}")
+    return "+".join(parts) if parts else "0"
+
+
 def upoly_rem(num: Sequence[int], den: Sequence[int], F: FieldSpec) -> tuple:
     num = list(num)
     dd = len(den) - 1
@@ -299,8 +304,8 @@ def find_irreducible(F: FieldSpec, degree: int) -> tuple:
     raise ValueError(f"no irreducible of degree {degree} over {F}")  # unreachable
 
 
-def _parse_modulus_text(text: str, p: int) -> tuple:
-    """Parse `x^2+x+1` style modulus text into ascending int coefficients."""
+def _parse_modulus(text: str, p: int, k: int) -> tuple:
+    """Ascending int coefficients of `x^2+x+1` style text, none past x^k."""
     s = text.replace(" ", "").replace("**", "^")
     if not s:
         raise ValueError("empty modulus")
@@ -326,6 +331,8 @@ def _parse_modulus_text(text: str, p: int) -> tuple:
             exp = 1
         elif rest.startswith("^") and rest[1:].isdigit():
             exp = int(rest[1:])
+            if exp > k:
+                raise ValueError(f"modulus term {term!r} is past degree {k}")
         else:
             raise ValueError(f"bad modulus term {term!r}")
         coeffs[exp] = (coeffs.get(exp, 0) + sign * coeff) % p
@@ -358,7 +365,7 @@ def make_field(p: int, k: int = 1, modulus=None) -> FieldSpec:
             raise MissingModulusError(
                 f"no built-in modulus for GF({p}^{k}); supply one")
     elif isinstance(modulus, str):
-        coeffs = _parse_modulus_text(modulus, p)
+        coeffs = _parse_modulus(modulus, p, k)
     else:
         coeffs = tuple(int(c) % p for c in modulus)
     if len(coeffs) != k + 1 or coeffs[-1] != 1:

@@ -23,7 +23,7 @@ from .gf import FieldSpec
 from .mpoly import (
     DEGREE_CAP,
     GREVLEX,
-    MonomialOrder,
+    Order,
     Polynomial,
     mono_degree,
     mono_div,
@@ -67,14 +67,14 @@ class GroebnerBasis:
     """Reduced monic basis, sorted by leading monomial (ascending)."""
 
     ideal: Ideal
-    order: MonomialOrder
+    order: Order
     basis: tuple
 
     def leading_monomials(self) -> list:
         return [g.leading_monomial(self.order) for g in self.basis]
 
 
-def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polynomial:
+def spoly(f: Polynomial, g: Polynomial, order: Order = GREVLEX) -> Polynomial:
     lf, lg = f.leading_monomial(order), g.leading_monomial(order)
     lcm = mono_lcm(lf, lg)
     F = f.field
@@ -83,7 +83,7 @@ def spoly(f: Polynomial, g: Polynomial, order: MonomialOrder = GREVLEX) -> Polyn
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
-                order: MonomialOrder = GREVLEX) -> Polynomial:
+                order: Order = GREVLEX) -> Polynomial:
     """Fully reduce f: no remainder monomial is divisible by any basis LM.
     The first basis element whose LM divides reduces; once `basis` is a
     Groebner basis any choice gives the same remainder."""
@@ -106,11 +106,11 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial],
     return remainder
 
 
-def _interreduce(polys: list, order: MonomialOrder) -> list:
+def _interreduce(polys: list, order: Order) -> list:
     """Minimalize leading monomials, then fully reduce each tail; monic output."""
     polys = [g.monic(order) for g in polys if not g.is_zero()]
     minimal = []
-    for g in sorted(polys, key=lambda g: order.key(g.leading_monomial(order))):
+    for g in sorted(polys, key=lambda g: order(g.leading_monomial(order))):
         lm = g.leading_monomial(order)
         if not any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
             minimal.append(g)
@@ -119,11 +119,11 @@ def _interreduce(polys: list, order: MonomialOrder) -> list:
         others = minimal[:i] + minimal[i + 1:]
         r = normal_form(g, others, order)
         reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order.key(g.leading_monomial(order)))
+    reduced.sort(key=lambda g: order(g.leading_monomial(order)))
     return reduced
 
 
-def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
+def buchberger(ideal: Ideal, order: Order = GREVLEX) -> GroebnerBasis:
     """Buchberger with normal pair selection plus product and chain criteria."""
     G = []
     for g in ideal.gens:
@@ -140,7 +140,7 @@ def buchberger(ideal: Ideal, order: MonomialOrder = GREVLEX) -> GroebnerBasis:
                 f"S-pair budget {MAX_PAIRS} exhausted ({len(G)} basis elements)")
         i, j = min(pairs, key=lambda ij: (
             mono_degree(mono_lcm(lm[ij[0]], lm[ij[1]])),
-            order.key(mono_lcm(lm[ij[0]], lm[ij[1]])), ij))
+            order(mono_lcm(lm[ij[0]], lm[ij[1]])), ij))
         pairs.remove((i, j))
         lcm_ij = mono_lcm(lm[i], lm[j])
         if lcm_ij == mono_mul(lm[i], lm[j]):
@@ -228,11 +228,6 @@ def hilbert_numerator(gens: Sequence[tuple]) -> list:
         for g in gens])
     return _poly_add(hilbert_numerator(with_pivot),
                      [0] + hilbert_numerator(colon))
-
-
-def hilbert_function_values(gens: Sequence[tuple], nvars: int, tmax: int) -> list:
-    """h(0..tmax) for the quotient by the monomial ideal, via the numerator."""
-    return _values_from_numerator(hilbert_numerator(gens), nvars, tmax)
 
 
 def _values_from_numerator(num: list, nvars: int, tmax: int) -> list:
@@ -330,12 +325,12 @@ def _finish_hilbert(values: list, coeffs: list) -> HilbertData:
     return HilbertData(tuple(values), tuple(coeffs), dim, int(lead))
 
 
-def hilbert_of_ideal(ideal: Ideal, order: MonomialOrder = GREVLEX) -> HilbertData:
+def hilbert_of_ideal(ideal: Ideal, order: Order = GREVLEX) -> HilbertData:
     return hilbert(buchberger(ideal, order))
 
 
 def hyperplane_section(ideal: Ideal, form: Polynomial,
-                       order: MonomialOrder = GREVLEX):
+                       order: Order = GREVLEX):
     """(ideal + (form), HilbertData of the section). `form` must be a
     nonzero homogeneous linear polynomial in the same ring."""
     if form.is_zero() or form.degree() != 1 or not form.homogeneous:

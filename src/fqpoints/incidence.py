@@ -6,7 +6,7 @@ identities they check are exact statements about enumerated data, so a
 failure localizes to a concrete hyperplane.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
@@ -21,8 +21,6 @@ from .mpoly import linear_form
 from .projgeom import enumerate_hyperplanes, pi, point_text
 from .variety import (
     Variety,
-    _union_mask,
-    _zero_mask_kernel,
     _zero_tally,
     classify_components,
     dimension_degree_sequences,
@@ -51,19 +49,8 @@ class IncidenceCensus:
         return all(self.identities.values()) and not self.violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "regime": self.regime, "n": self.n, "q": self.q,
-            "base_point": self.base_point,
-            "v1_size": self.v1_size, "v2_size": self.v2_size,
-            "edge_count": self.edge_count,
-            "per_point_valency": self.per_point_valency,
-            "valencies": [[f, v] for f, v in self.valencies],
-            "identities": dict(self.identities),
-            "section_bound": self.section_bound,
-            "violations": [list(v) for v in self.violations],
-            "extra": {k: str(v) for k, v in self.extra.items()},
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok,
+                "extra": {k: str(v) for k, v in self.extra.items()}}
 
     def trace(self) -> list:
         """The counting chain with concrete numbers, one line per step."""
@@ -95,8 +82,12 @@ def _pencil_incidences(X: Variety, P: tuple, budget: int, L=None):
     V1 is X(F_q) minus P, or minus the subspace L when one is given; the
     pencil is the hyperplanes through P (not containing L); a valency is the
     number of V1 points on one pencil member, in pencil order: the number
-    of zeros of the member's dual form, a linear polynomial, over V1."""
+    of zeros of the member's dual form, a linear polynomial, over V1. A P
+    outside X(F_q) raises PointNotOnVarietyError."""
     pts = rational_points(X, budget=budget)
+    if P not in pts:
+        raise PointNotOnVarietyError(
+            f"{point_text(X.field, P)} is not a rational point of X")
     v1 = [Q for Q in pts if (Q != P if L is None else not L.contains(Q))]
     pencil = list(enumerate_hyperplanes(X.n, X.field, through=P,
                                         excluding_containing=L))
@@ -114,10 +105,6 @@ def census_through_point(X: Variety, P: tuple,
     pi_{n-2} pencil members). When the classification puts every component
     outside every hyperplane, additionally caps each valency by the section
     bound minus one and replays the derived count bound."""
-    gens = [c.ideal.gens for c in X.components]
-    if not _union_mask(_zero_mask_kernel(X.field), [P], gens)[0]:
-        raise PointNotOnVarietyError(
-            f"{point_text(X.field, P)} is not a rational point of X")
     n, q = X.n, X.q
     v1, pencil, valencies, edges = _pencil_incidences(X, P, budget)
     per_point = pi(n - 2, q)

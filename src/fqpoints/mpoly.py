@@ -1,8 +1,8 @@
 """Sparse multivariate polynomials over a finite field.
 
 Monomials are exponent tuples; a polynomial maps exponent tuples to nonzero
-field elements, the ints of `gf.FieldSpec`. Two term orders are provided
-(lex and graded reverse lex, both with x0 > x1 > ...). The text grammar
+field elements, the ints of `gf.FieldSpec`. A term order is a sort key:
+LEX or GREVLEX (graded reverse lex), both with x0 > x1 > .... The grammar
 accepts +, -, *, ^ with parentheses, integer literals (reduced mod p here
 and nowhere else), variables x0..x{nvars-1}, and the extension generator
 `a`. Each multiplication the parser makes is capped at TERM_WORK_CAP
@@ -12,7 +12,7 @@ of parentheses and unary minus signs at NESTING_CAP levels.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BudgetExceededError,
@@ -62,31 +62,16 @@ def mono_degree(u: Exps) -> int:
     return sum(u)
 
 
-class MonomialOrder:
-    """A total order on exponent tuples, exposed through sort keys."""
-
-    def __init__(self, name: str):
-        if name not in ("lex", "grevlex"):
-            raise ValueError(f"unknown order {name!r}")
-        self.name = name
-
-    def key(self, exps: Exps):
-        if self.name == "lex":
-            return exps
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, MonomialOrder) and self.name == other.name
-
-    def __hash__(self):
-        return hash((MonomialOrder, self.name))
+Order = Callable[[Exps], tuple]
 
 
-LEX = MonomialOrder("lex")
-GREVLEX = MonomialOrder("grevlex")
+def LEX(u: Exps) -> Exps:
+    return u
+
+
+def GREVLEX(u: Exps) -> tuple:
+    """Total degree first, then the smaller last exponent wins."""
+    return (sum(u), tuple(-e for e in reversed(u)))
 
 
 class Polynomial:
@@ -146,15 +131,15 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def leading_monomial(self, order: MonomialOrder = GREVLEX) -> Exps:
+    def leading_monomial(self, order: Order = GREVLEX) -> Exps:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms, key=order.key)
+        return max(self.terms, key=order)
 
-    def leading_coeff(self, order: MonomialOrder = GREVLEX) -> int:
+    def leading_coeff(self, order: Order = GREVLEX) -> int:
         return self.terms[self.leading_monomial(order)]
 
-    def monic(self, order: MonomialOrder = GREVLEX) -> "Polynomial":
+    def monic(self, order: Order = GREVLEX) -> "Polynomial":
         lc = self.leading_coeff(order)
         if lc == 1:
             return self
@@ -270,7 +255,7 @@ class Polynomial:
         if not self.terms:
             return "0"
         parts = []
-        for exps in sorted(self.terms, key=GREVLEX.key, reverse=True):
+        for exps in sorted(self.terms, key=GREVLEX, reverse=True):
             coeff = self.terms[exps]
             factors = []
             for j, e in enumerate(exps):
@@ -456,7 +441,10 @@ class _Parser:
 def parse_poly(text: str, field: FieldSpec, nvars: int) -> Polynomial:
     """Parse polynomial text; coefficients reduce into the field, so the
     result can be canonically zero (e.g. `2*x0` over GF(2))."""
-    tokens = _tokenize(text)
+    try:
+        tokens = _tokenize(text)
+    except ValueError:  # a number past the digit limit, or not ASCII
+        raise ParseError(f"unreadable number in {text!r}") from None
     if not tokens:
         raise ParseError("empty polynomial text")
     parser = _Parser(tokens, field, nvars, text)

@@ -20,7 +20,10 @@ re-encodes them so that one lookup adds two values: it needs no q x q
 table and makes no call per point.
 """
 
+import math
+
 from .bounds import (
+    _check_q,
     bound_equidimensional,
     bound_linear_arrangement,
     bound_serre,
@@ -96,13 +99,15 @@ def _hypersurface_rows(n: int, degree: int, qs, budget: int) -> list:
     plans = []
     for q in qs:  # every q is checked before any q is swept
         field = field_from_order(q)
-        m = len(monomials_of_degree(n + 1, degree))
-        nforms, npoints = (q ** m - 1) // (q - 1), pi(n, q)
+        cap = bound_serre(n, degree, q)
+        m = math.comb(n + degree, degree)  # the monomials of degree d
+        _check_q(q, m - 1)  # the forms up to scalars are P^(m-1)(F_q)
+        nforms, npoints = pi(m - 1, q), pi(n, q)
         if nforms * npoints > budget:
             raise InvalidSpecError(
                 f"sweep would evaluate {nforms}x{npoints} pairs, "
                 f"over the {budget} budget")
-        plans.append((field, bound_serre(n, degree, q)))
+        plans.append((field, cap))
     rows = []
     for field, cap in plans:
         for c in _zero_counts(field, n, degree):
@@ -148,6 +153,8 @@ def _identity_rows(qs, max_index: int, budget: int) -> list:
     if len(qs) * nrows > budget:
         raise InvalidSpecError(f"sweep would build {len(qs)}x{nrows} rows, "
                                f"over the {budget} budget")
+    for q in qs:  # every row holds numbers up to 2 pi(max_index)
+        _check_q(q, max_index)
     rows = []
     for q in qs:
         for k in range(0, max_index + 1):

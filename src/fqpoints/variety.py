@@ -115,11 +115,11 @@ def _build_component(name: str, texts: Sequence[str], field: FieldSpec,
     if declared_deg is not None and declared_deg != hd.degree:
         raise DeclarationMismatchError(
             f"component {name}: declared deg={declared_deg}, computed {hd.degree}")
+    # linear exactly when the reduced basis is the RREF of linear forms
     linear_forms = tuple(g for g in gb.basis if g.degree() == 1)
-    is_linear = bool(linear_forms) and all(
-        normal_form(g, list(linear_forms), GREVLEX).is_zero() for g in gens)
     return Component(name, ideal, gb, hd, hd.dim, hd.degree,
-                     irreducible_declared, linear_forms, is_linear)
+                     irreducible_declared, linear_forms,
+                     len(linear_forms) == len(gb.basis))
 
 
 def _parse_kv(parts: Sequence[str], line_no: int) -> dict:
@@ -554,8 +554,6 @@ class AffineChart:
 
     field: FieldSpec
     n: int
-    form: Polynomial
-    pivot: int
     components_off: tuple
     components_on: tuple  # names of components inside H
     projective_count: int
@@ -600,7 +598,7 @@ def affine_chart(X: Variety, form: Polynomial,
         off.append(AffineComponent(comp.name, comp.dim, comp.degree, affine_gens))
     pts = rational_points(X, budget)
     section = _zero_tally(F, pts, [form])[0]
-    return AffineChart(X.field, X.n, form, pivot, tuple(off), tuple(on),
+    return AffineChart(X.field, X.n, tuple(off), tuple(on),
                        len(pts), section, len(pts) - section)
 
 

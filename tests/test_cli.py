@@ -10,6 +10,7 @@ import pytest
 
 from fqpoints.cli import main, sweep_rows
 from fqpoints.bounds import CSV_FIELDS
+from fqpoints.projgeom import pi
 
 
 @pytest.fixture
@@ -360,18 +361,28 @@ def test_extension_field_over_the_order_cap_exits_2_quickly(capsys,
                    "cap of 65536\n")
 
 
-@pytest.mark.parametrize("argv, n, q, digits", [
-    (["--kind", "serre", "--delta", "3", "--n", "500",
-      "--q", "1000000007"], 500, 1000000007, 4501),
+NINES = "9" * 300  # a degree of 300 digits
+
+
+@pytest.mark.parametrize("argv, n, q, total", [
+    (["--kind", "serre", "--delta", "3", "--n", "500", "--q", "1000000007"],
+     500, 1000000007, 3 * 1000000007 ** 499 + pi(498, 1000000007)),
     (["--kind", "linear_arrangement", "--dims", "19999,3", "--n", "20000",
-      "--q", "2", "--format", "csv"], 20000, 2, 6021),
-], ids=["serre", "linear_arrangement"])
-def test_bound_too_long_to_print_exits_2_quickly(capsys, argv, n, q, digits):
+      "--q", "2", "--format", "csv"],
+     20000, 2, pi(19999, 2) + pi(3, 2) - pi(2, 2)),
+    (["--kind", "serre", "--delta", NINES, "--n", "13300", "--q", "2"],
+     13300, 2, int(NINES) * 2 ** 13299 + pi(13298, 2)),
+    (["--kind", "affine", "--components", f"3999:{NINES}", "--n", "4000",
+      "--q", "11"], 4000, 11, int(NINES) * 11 ** 3999),
+    (["--kind", "tubular", "--d", "4000", "--delta", NINES, "--n", "4001",
+      "--q", "11"], 4000, 11, int(NINES) * 11 ** 4000 + pi(3999, 11)),
+], ids=["serre", "linear_arrangement", "serre_degree", "affine", "tubular"])
+def test_bound_too_long_to_print_exits_2_quickly(capsys, argv, n, q, total):
     start = time.perf_counter()
     code, out, err = run(capsys, ["bound", *argv])
     assert time.perf_counter() - start < 1
     assert (code, out) == (2, "")
     limit = sys.get_int_max_str_digits()  # 4300 unless set otherwise
-    assert err == (f"error: pi({n}) over GF({q}) has {digits} or more "
-                   f"decimal digits, over the {limit}-digit limit for "
-                   "printed integers\n")
+    assert err == (f"error: numbers over P^{n}(F_{q}) can pass the {limit}-"
+                   "digit limit for printed integers\n")
+    assert total >= 10 ** limit  # too long to print indeed

@@ -1,18 +1,28 @@
 """Groebner bases and Hilbert functions for homogeneous ideals.
 
 Buchberger's algorithm with the product and chain criteria produces a
-reduced monic basis. Dimension and degree come from the Hilbert series
-N(z)/(1-z)^nvars of the initial ideal, with N from an exact recursion on
-monomial ideals (Bayer and Stillman 1992): the Hilbert polynomial is
-sum_j N_j * C(t - j + nvars - 1, nvars - 1), in exact rationals.
-`HilbertData.values` holds h(0..T), T = max(T0, deg N), where T0 = (largest
-leading-monomial degree) + max(nvars, 4) + nvars. An ideal whose T0 or
-leading-monomial lcm degree exceeds 1000 raises BudgetExceededError.
+reduced monic basis. Inside `buchberger` and `normal_form` a monomial is one
+int (Monagan and Pearce 2007): int order is the term order and a product is
+a sum. With B = 2^(w+1), GREVLEX packs x^e as deg(e)*B^n - sum e_i*B^i and
+LEX as sum e_i*B^(n-1-i), where w is the bit length of max(input degree,
+DEGREE_CAP). Bit w of each field is a guard bit: with M their mask, v
+divides u iff ((vec(u) | M) - vec(v)) & M == M. Each multiple of a reducer
+is checked against the guard bits first, and one that would set one raises
+BudgetExceededError. A reduction works in place over a max-heap of keys,
+with the first basis element whose leading monomial divides. Dimension and
+degree come from the Hilbert series N(z)/(1-z)^nvars of the initial ideal,
+with N from an exact recursion on monomial ideals (Bayer and Stillman
+1992): the Hilbert polynomial is sum_j N_j * C(t - j + nvars - 1, nvars -
+1), in exact rationals. `HilbertData.values` holds h(0..T), T = max(T0,
+deg N), where T0 = (largest leading-monomial degree) + max(nvars, 4) +
+nvars. An ideal whose T0 or leading-monomial lcm degree exceeds 1000 raises
+BudgetExceededError.
 """
 
 from __future__ import annotations
 
-import functools
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,17 +30,7 @@ from typing import Sequence
 
 from .errors import BudgetExceededError, NotHomogeneousError
 from .gf import FieldSpec
-from .mpoly import (
-    DEGREE_CAP,
-    GREVLEX,
-    Order,
-    Polynomial,
-    mono_degree,
-    mono_div,
-    mono_divides,
-    mono_lcm,
-    mono_mul,
-)
+from .mpoly import DEGREE_CAP, GREVLEX, LEX, Order, Polynomial
 
 # Most S-pairs one buchberger() call handles before it gives up.
 MAX_PAIRS = 200_000
@@ -74,132 +74,179 @@ class GroebnerBasis:
         return [g.leading_monomial(self.order) for g in self.basis]
 
 
-def spoly(f: Polynomial, g: Polynomial, order: Order = GREVLEX) -> Polynomial:
-    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
-    lcm = mono_lcm(lf, lg)
-    F = f.field
-    return (f.times_term(F.inv(f.terms[lf]), mono_div(lcm, lf))
-            - g.times_term(F.inv(g.terms[lg]), mono_div(lcm, lg)))
+class _Packing:
+    """One call's packed monomials, as in the module docstring. `vec(key)`
+    is the exponent vector of a key, with its guard bits clear."""
+
+    def __init__(self, nvars: int, order: Order, degree: int):
+        if order is not LEX and order is not GREVLEX:
+            raise ValueError("term order must be LEX or GREVLEX")
+        self.lex = order is LEX
+        w = max(degree, DEGREE_CAP).bit_length()
+        self.cap = (1 << w) - 1  # the largest exponent a field holds
+        self.shifts = [(w + 1) * (nvars - 1 - i if self.lex else i)
+                       for i in range(nvars)]
+        self.top = (w + 1) * nvars
+        self.guard = sum(1 << (s + w) for s in self.shifts)
+
+    def key(self, exps: tuple) -> int:
+        vec = sum(e << s for e, s in zip(exps, self.shifts))
+        return vec if self.lex else (sum(exps) << self.top) - vec
+
+    def vec(self, key: int) -> int:
+        return key if self.lex else -key & ((1 << self.top) - 1)
+
+    def exps(self, key: int) -> tuple:
+        return tuple(self.vec(key) >> s & self.cap for s in self.shifts)
+
+    def divides(self, dv: int, key: int) -> bool:
+        return ((self.vec(key) | self.guard) - dv) & self.guard == self.guard
+
+    def pack(self, f: Polynomial) -> dict:
+        return {self.key(e): c for e, c in f.terms.items()}
+
+    def reducer(self, g: dict, F: FieldSpec) -> tuple:
+        """(lm, vec(lm), spread, tail) of the nonzero g: the tail is g's
+        other terms times -1/lc, and spread the vector of g's largest
+        exponent of each variable."""
+        lm = max(g)
+        m = F.neg(F.inv(g[lm]))
+        vecs = [self.vec(k) for k in g]
+        spread = sum(max(v >> s & self.cap for v in vecs) << s
+                     for s in self.shifts)
+        return (lm, self.vec(lm), spread,
+                [(k, F.mul(c, m)) for k, c in g.items() if k != lm])
+
+    def fit(self, t: int, spread: int):
+        """Refuse x^t times a reducer with this spread past the width."""
+        if (self.vec(t) + spread) & self.guard:
+            raise BudgetExceededError(
+                f"a reduction needs an exponent over the cap {self.cap}")
+
+
+def _monic(g: dict, F: FieldSpec) -> dict:
+    inv = F.inv(g[max(g)])
+    return {k: F.mul(c, inv) for k, c in g.items()}
+
+
+def _reduce(f: dict, reducers: list, P: _Packing, F: FieldSpec) -> dict:
+    """Fully reduce the packed f in place and return the remainder. Each
+    key a step adds is below the one it reduces, so none is pushed twice; a
+    cancelled term stays in f as a zero until its key comes off the heap."""
+    add, mul, guard = F.add, F.mul, P.guard
+    sign = 1 if P.lex else -1  # sign * key has vec(key) as its low bits
+    heap = [-k for k in f]
+    heapq.heapify(heap)
+    remainder = {}
+    while heap:
+        key = -heapq.heappop(heap)
+        c = f.pop(key)
+        if not c:
+            continue
+        u = sign * key | guard
+        for lm, dv, spread, tail in reducers:
+            if (u - dv) & guard == guard:
+                t = key - lm
+                P.fit(t, spread)
+                for k, a in tail:
+                    k += t
+                    x = f.get(k)
+                    if x is None:
+                        heapq.heappush(heap, -k)
+                        x = 0
+                    f[k] = add(x, mul(c, a))
+                break
+        else:
+            remainder[key] = c
+    return remainder
 
 
 def normal_form(f: Polynomial, basis: Sequence[Polynomial],
                 order: Order = GREVLEX) -> Polynomial:
     """Fully reduce f: no remainder monomial is divisible by any basis LM.
     The first basis element whose LM divides reduces; once `basis` is a
-    Groebner basis any choice gives the same remainder."""
-    F = f.field
-    basis = [g for g in basis if not g.is_zero()]
-    lms = [g.leading_monomial(order) for g in basis]
-    remainder = Polynomial.zero(f.field, f.nvars)
-    p = f
-    while p:
-        lm = p.leading_monomial(order)
-        i = next((i for i, m in enumerate(lms) if mono_divides(m, lm)), None)
-        if i is not None:
-            g = basis[i]
-            c = F.mul(p.terms[lm], F.inv(g.terms[lms[i]]))
-            p = p - g.times_term(c, mono_div(lm, lms[i]))
-        else:
-            lt = Polynomial(f.field, f.nvars, {lm: p.terms[lm]})
-            remainder = remainder + lt
-            p = p - lt
-    return remainder
+    Groebner basis any choice gives the same remainder. A basis element
+    from another ring raises FieldMismatchError or DimensionMismatchError."""
+    for g in basis:
+        f._check(g)
+    basis = [g for g in basis if g]
+    P = _Packing(f.nvars, order, max(g.degree() for g in [f, *basis]))
+    reducers = [P.reducer(P.pack(g), f.field) for g in basis]
+    remainder = _reduce(P.pack(f), reducers, P, f.field)
+    return Polynomial(f.field, f.nvars,
+                      {P.exps(k): c for k, c in remainder.items()})
 
 
-def _interreduce(polys: list, order: Order) -> list:
-    """Minimalize leading monomials, then fully reduce each tail; monic output."""
-    polys = [g.monic(order) for g in polys if not g.is_zero()]
-    minimal = []
-    for g in sorted(polys, key=lambda g: order(g.leading_monomial(order))):
-        lm = g.leading_monomial(order)
-        if not any(mono_divides(h.leading_monomial(order), lm) for h in minimal):
+def _interreduce(G: list, P: _Packing, F: FieldSpec) -> list:
+    """Minimalize the leading monomials of the monic G, then fully reduce
+    each tail; the output is monic and ascending by leading monomial."""
+    minimal, red = [], []
+    for g in sorted(G, key=max):
+        if not any(P.divides(h[1], max(g)) for h in red):
             minimal.append(g)
-    reduced = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = normal_form(g, others, order)
-        reduced.append(r.monic(order))
-    reduced.sort(key=lambda g: order(g.leading_monomial(order)))
-    return reduced
+            red.append(P.reducer(g, F))
+    return [_reduce(dict(g), red[:i] + red[i + 1:], P, F)
+            for i, g in enumerate(minimal)]
 
 
 def buchberger(ideal: Ideal, order: Order = GREVLEX) -> GroebnerBasis:
-    """Buchberger with normal pair selection plus product and chain criteria."""
-    G = []
+    """Buchberger with normal pair selection plus product and chain
+    criteria; pairs come off a heap by (deg lcm, lcm, i, j)."""
+    F, nvars = ideal.field, ideal.nvars
+    P = _Packing(nvars, order, max(g.degree() for g in ideal.gens))
+    G, red, lms, pairs, pending = [], [], [], [], set()
+
+    def admit(g: dict):
+        G.append(g)
+        red.append(P.reducer(g, F))
+        lms.append(P.exps(red[-1][0]))
+        new = len(G) - 1
+        for t in range(new):
+            lcm = tuple(map(max, lms[t], lms[new]))
+            heapq.heappush(pairs, (sum(lcm), P.key(lcm), t, new))
+            pending.add((t, new))
+
     for g in ideal.gens:
-        g = g.monic(order)
+        g = _monic(P.pack(g), F)
         if g not in G:
-            G.append(g)
-    lm = [g.leading_monomial(order) for g in G]
-    pairs = {(i, j) for j in range(len(G)) for i in range(j)}
+            admit(g)
     handled = 0
     while pairs:
         handled += 1
         if handled > MAX_PAIRS:
             raise BudgetExceededError(
                 f"S-pair budget {MAX_PAIRS} exhausted ({len(G)} basis elements)")
-        i, j = min(pairs, key=lambda ij: (
-            mono_degree(mono_lcm(lm[ij[0]], lm[ij[1]])),
-            order(mono_lcm(lm[ij[0]], lm[ij[1]])), ij))
-        pairs.remove((i, j))
-        lcm_ij = mono_lcm(lm[i], lm[j])
-        if lcm_ij == mono_mul(lm[i], lm[j]):
+        _, lcm, i, j = heapq.heappop(pairs)
+        pending.remove((i, j))
+        (li, _, si, ti), (lj, _, sj, tj) = red[i], red[j]
+        if lcm == li + lj:
             continue  # coprime leading monomials reduce to zero
-        chain = False
-        for k in range(len(G)):
-            if k in (i, j) or not mono_divides(lm[k], lcm_ij):
-                continue
-            if (tuple(sorted((i, k))) not in pairs
-                    and tuple(sorted((j, k))) not in pairs):
-                chain = True
-                break
-        if chain:
-            continue
-        r = normal_form(spoly(G[i], G[j], order), G, order)
-        if r.is_zero():
-            continue
-        r = r.monic(order)
-        G.append(r)
-        lm.append(r.leading_monomial(order))
-        new = len(G) - 1
-        pairs.update((t, new) for t in range(new))
-    return GroebnerBasis(ideal, order, tuple(_interreduce(G, order)))
+        if any(k != i and k != j and P.divides(red[k][1], lcm)
+               and (min(i, k), max(i, k)) not in pending
+               and (min(j, k), max(j, k)) not in pending
+               for k in range(len(G))):
+            continue  # the chain criterion
+        P.fit(lcm - li, si)
+        P.fit(lcm - lj, sj)
+        s = {lcm - li + k: a for k, a in ti}  # minus the S-polynomial
+        for k, a in tj:
+            k += lcm - lj
+            s[k] = F.sub(s.get(k, 0), a)
+        r = _reduce(s, red, P, F)
+        if r:
+            admit(_monic(r, F))
+    return GroebnerBasis(ideal, order, tuple(
+        Polynomial(F, nvars, {P.exps(k): c for k, c in g.items()})
+        for g in _interreduce(G, P, F)))
 
 
 # --- Hilbert series numerator for monomial ideals ---
 
 def _minimalize(gens: list) -> list:
     out = []
-    for g in sorted(set(gens), key=lambda m: (mono_degree(m), m)):
-        if not any(mono_divides(h, g) for h in out):
+    for g in sorted(set(gens), key=lambda m: (sum(m), m)):
+        if not any(all(a <= b for a, b in zip(h, g)) for h in out):
             out.append(g)
-    return out
-
-
-def _supports_disjoint(gens: list) -> bool:
-    seen: set = set()
-    for g in gens:
-        sup = {i for i, e in enumerate(g) if e}
-        if sup & seen:
-            return False
-        seen |= sup
-    return True
-
-
-def _poly_add(a: list, b: list) -> list:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_mul_1mz(coeffs: list, d: int) -> list:
-    """Multiply an integer z-polynomial by (1 - z^d)."""
-    out = coeffs + [0] * d
-    for i, c in enumerate(coeffs):
-        out[i + d] -= c
     return out
 
 
@@ -209,31 +256,24 @@ def hilbert_numerator(gens: Sequence[tuple]) -> list:
     gens = _minimalize(list(gens))
     if not gens:
         return [1]
-    if _supports_disjoint(gens):
-        out = [1]
-        for g in gens:
-            out = _poly_mul_1mz(out, mono_degree(g))
-        return out
-    # pivot on a variable of a non-pure-power generator, highest occurrence
     nvars = len(gens[0])
-    mixed_vars = set()
-    for g in gens:
-        if sum(1 for e in g if e) >= 2:
-            mixed_vars.update(i for i, e in enumerate(g) if e)
-    v = max(mixed_vars, key=lambda w: (sum(1 for g in gens if g[w]), -w))
+    share = [sum(1 for g in gens if g[w]) for w in range(nvars)]
+    if max(share, default=0) <= 1:  # pairwise coprime: prod (1 - z^deg g)
+        out = [1]
+        for d in map(sum, gens):  # times (1 - z^d)
+            out = [c - (out[i - d] if i >= d else 0)
+                   for i, c in enumerate(out + [0] * d)]
+        return out
+    # pivot on the variable most generators share, the first of those
+    v = max(range(nvars), key=lambda w: (share[w], -w))
     pivot = tuple(1 if i == v else 0 for i in range(nvars))
     with_pivot = _minimalize([pivot] + [g for g in gens if g[v] == 0])
     colon = _minimalize([
         tuple(e - 1 if i == v and e else e for i, e in enumerate(g))
         for g in gens])
-    return _poly_add(hilbert_numerator(with_pivot),
-                     [0] + hilbert_numerator(colon))
-
-
-def _values_from_numerator(num: list, nvars: int, tmax: int) -> list:
-    return [sum(c * math.comb(t - j + nvars - 1, nvars - 1)
-                for j, c in enumerate(num[:t + 1]) if c)
-            for t in range(tmax + 1)]
+    return [a + b for a, b in itertools.zip_longest(
+        hilbert_numerator(with_pivot), [0] + hilbert_numerator(colon),
+        fillvalue=0)]
 
 
 @dataclass(frozen=True)
@@ -282,16 +322,17 @@ def hilbert(gb: GroebnerBasis) -> HilbertData:
             raise NotHomogeneousError("Hilbert data needs a homogeneous ideal")
     nvars = gb.ideal.nvars
     lms = gb.leading_monomials()
-    t0 = (max((mono_degree(m) for m in lms), default=0)
-          + max(nvars, 4) + nvars)
-    reach = max(t0, mono_degree(functools.reduce(mono_lcm, lms, (0,) * nvars)))
+    t0 = max(map(sum, lms), default=0) + max(nvars, 4) + nvars
+    reach = max(t0, sum(map(max, zip(*lms))))  # the degree of their lcm
     if reach > DEGREE_CAP:
         raise BudgetExceededError(
             f"Hilbert function range t = 0..{reach} is over the cap "
             f"t = {DEGREE_CAP}")
     num = hilbert_numerator(lms)
     deg_num = max((j for j, c in enumerate(num) if c), default=0)
-    values = _values_from_numerator(num, nvars, max(t0, deg_num))
+    values = [sum(c * math.comb(t - j + nvars - 1, nvars - 1)
+                  for j, c in enumerate(num[:t + 1]) if c)
+              for t in range(max(t0, deg_num) + 1)]
     return _finish_hilbert(values, _hilbert_polynomial(num, nvars))
 
 

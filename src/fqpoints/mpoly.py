@@ -39,29 +39,6 @@ TERM_WORK_CAP = 300_000
 NESTING_CAP = 100
 
 
-# --- monomial helpers ---
-
-def mono_mul(u: Exps, v: Exps) -> Exps:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def mono_divides(u: Exps, v: Exps) -> bool:
-    return all(a <= b for a, b in zip(u, v))
-
-
-def mono_div(u: Exps, v: Exps) -> Exps:
-    """u / v, assuming v divides u."""
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def mono_lcm(u: Exps, v: Exps) -> Exps:
-    return tuple(max(a, b) for a, b in zip(u, v))
-
-
-def mono_degree(u: Exps) -> int:
-    return sum(u)
-
-
 Order = Callable[[Exps], tuple]
 
 
@@ -136,15 +113,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self.terms, key=order)
 
-    def leading_coeff(self, order: Order = GREVLEX) -> int:
-        return self.terms[self.leading_monomial(order)]
-
-    def monic(self, order: Order = GREVLEX) -> "Polynomial":
-        lc = self.leading_coeff(order)
-        if lc == 1:
-            return self
-        return self.times_term(self.field.inv(lc), (0,) * self.nvars)
-
     # -- arithmetic --
 
     def _check(self, other: "Polynomial"):
@@ -180,7 +148,7 @@ class Polynomial:
         acc: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = mono_mul(e1, e2)
+                e = tuple(a + b for a, b in zip(e1, e2))
                 prod = mul(c1, c2)
                 cur = acc.get(e)
                 s = prod if cur is None else add(cur, prod)
@@ -189,15 +157,6 @@ class Polynomial:
                 elif e in acc:
                     del acc[e]
         return Polynomial(self.field, self.nvars, acc)
-
-    def times_term(self, coeff: int, exps: Exps) -> "Polynomial":
-        """Multiply by coeff * x^exps in one pass."""
-        if not coeff:
-            return Polynomial.zero(self.field, self.nvars)
-        mul = self.field.mul
-        return Polynomial(self.field, self.nvars,
-                          {mono_mul(e, exps): mul(c, coeff)
-                           for e, c in self.terms.items()})
 
     # -- evaluation and substitution --
 

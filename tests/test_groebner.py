@@ -8,7 +8,12 @@ from fractions import Fraction
 import pytest
 
 from fqpoints import groebner
-from fqpoints.errors import BudgetExceededError, NotHomogeneousError
+from fqpoints.errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    FieldMismatchError,
+    NotHomogeneousError,
+)
 from fqpoints.gf import field_from_order, make_field
 from fqpoints.groebner import (
     GroebnerBasis,
@@ -20,14 +25,12 @@ from fqpoints.groebner import (
     hilbert_of_ideal,
     hyperplane_section,
     normal_form,
-    spoly,
 )
 from fqpoints.mpoly import (
+    DEGREE_CAP,
     GREVLEX,
     LEX,
     Polynomial,
-    mono_div,
-    mono_divides,
     monomials_of_degree,
     parse_poly,
 )
@@ -36,6 +39,40 @@ from fqpoints.projgeom import enumerate_points
 GF2 = make_field(2)
 GF3 = make_field(3)
 GF4 = make_field(2, 2)
+
+
+# Tuple-level monomials and S-polynomials: the oracles that the packed
+# arithmetic inside groebner is checked against.
+
+def mono_mul(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def mono_div(u, v):
+    """u / v, assuming v divides u."""
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def mono_lcm(u, v):
+    return tuple(map(max, u, v))
+
+
+def mono_divides(u, v):
+    return all(a <= b for a, b in zip(u, v))
+
+
+def times_term(f, coeff, exps):
+    """f * coeff * x^exps."""
+    return Polynomial(f.field, f.nvars, {mono_mul(e, exps): f.field.mul(c, coeff)
+                                         for e, c in f.terms.items()})
+
+
+def spoly(f, g, order):
+    lf, lg = f.leading_monomial(order), g.leading_monomial(order)
+    lcm = mono_lcm(lf, lg)
+    F = f.field
+    return (times_term(f, F.inv(f.terms[lf]), mono_div(lcm, lf))
+            - times_term(g, F.inv(g.terms[lg]), mono_div(lcm, lg)))
 
 
 def twisted_cubic_ideal(F):
@@ -61,12 +98,11 @@ def values_of(gens, nvars, tmax):
 
 
 def is_groebner(gb: GroebnerBasis) -> bool:
-    """Buchberger's criterion, applied from scratch as an oracle."""
-    basis = list(gb.basis)
-    for f, g in itertools.combinations(basis, 2):
-        if not normal_form(spoly(f, g, gb.order), basis, gb.order).is_zero():
-            return False
-    return True
+    """Buchberger's criterion, applied from scratch on tuples as an oracle:
+    every S-pair reduces to zero, whatever reducer each step picks."""
+    basis, rng = list(gb.basis), random.Random(1)
+    return all(reduce_randomly(spoly(f, g, gb.order), basis, gb.order, rng)
+               .is_zero() for f, g in itertools.combinations(basis, 2))
 
 
 def test_twisted_cubic_basis():
@@ -121,7 +157,7 @@ def reduce_randomly(f, basis, order, rng):
         if candidates:
             i = rng.choice(candidates)
             c = F.mul(p.terms[lm], F.inv(basis[i].terms[lms[i]]))
-            p = p - basis[i].times_term(c, mono_div(lm, lms[i]))
+            p = p - times_term(basis[i], c, mono_div(lm, lms[i]))
         else:
             lt = Polynomial(F, f.nvars, {lm: p.terms[lm]})
             remainder, p = remainder + lt, p - lt
@@ -144,9 +180,58 @@ def test_spoly_cancels_leading_terms():
     f = parse_poly("x0*x2+x1^2", GF3, 3)
     g = parse_poly("x0^2+x1*x2", GF3, 3)
     s = spoly(f, g, GREVLEX)
-    from fqpoints.mpoly import mono_lcm
     lcm = mono_lcm(f.leading_monomial(GREVLEX), g.leading_monomial(GREVLEX))
     assert all(GREVLEX(m) < GREVLEX(lcm) for m in s.terms)
+
+
+def test_packing_agrees_with_tuple_monomials():
+    """Every monomial of degree <= 4 in 3 variables, under both orders:
+    pack/unpack round-trips, int order is the term order, the packed
+    product is the sum, and the guard-bit test is componentwise <=."""
+    assert mono_mul((1, 0), (0, 2)) == (1, 2)
+    assert mono_divides((1, 0), (1, 2)) and not mono_divides((2, 0), (1, 2))
+    assert mono_div((3, 2), (1, 2)) == (2, 0)
+    assert mono_lcm((3, 0), (1, 2)) == (3, 2)
+    monos = [m for d in range(5) for m in monomials_of_degree(3, d)]
+    for order in (LEX, GREVLEX):
+        P = groebner._Packing(3, order, 4)
+        keys = {m: P.key(m) for m in monos}
+        assert all(P.exps(keys[m]) == m for m in monos)
+        for u, v in itertools.product(monos, repeat=2):
+            assert (keys[u] < keys[v]) == (order(u) < order(v))
+            assert keys[u] + keys[v] == P.key(mono_mul(u, v))
+            assert P.divides(P.vec(keys[u]), keys[v]) == mono_divides(u, v)
+
+
+def test_normal_form_refuses_a_basis_from_another_ring():
+    f = parse_poly("x0*x1+x2^2", GF3, 3)
+    with pytest.raises(FieldMismatchError):
+        normal_form(f, [parse_poly("x0", GF2, 3)])
+    with pytest.raises(DimensionMismatchError):
+        normal_form(f, [parse_poly("x0", GF3, 4)])
+
+
+def test_grevlex_reduction_past_the_degree_cap_is_exact():
+    """The parser allows a monomial of degree above DEGREE_CAP; the packing
+    widens for it, and the answer is the tuple reference's."""
+    gb = buchberger(twisted_cubic_ideal(GF3))
+    f = parse_poly("x0^5000*x1+2*x1^2*x3^4999+x2^5001", GF3, 4)
+    assert f.degree() > DEGREE_CAP
+    expected = reduce_randomly(f, gb.basis, gb.order, random.Random(7))
+    assert normal_form(f, gb.basis, gb.order) == expected
+
+
+def test_lex_reduction_past_the_width_is_refused():
+    """x0 - x1^3 turns x0^e into x1^(3e) under LEX. The width comes from
+    max(input degree, DEGREE_CAP), so e = 300 fits and e = 600 does not."""
+    cap = 2 ** DEGREE_CAP.bit_length() - 1
+    g = parse_poly("x0-x1^3", GF3, 2)
+    assert (normal_form(parse_poly("x0^300", GF3, 2), [g], LEX)
+            == parse_poly("x1^900", GF3, 2))
+    with pytest.raises(BudgetExceededError, match=f"cap {cap}"):
+        normal_form(parse_poly("x0^600", GF3, 2), [g], LEX)
+    with pytest.raises(BudgetExceededError, match=f"cap {cap}"):
+        buchberger(Ideal.of([g, parse_poly("x0^600+x1", GF3, 2)]), LEX)
 
 
 def test_hilbert_single_quadric_in_three_vars():
@@ -222,8 +307,9 @@ def test_hilbert_respects_order_choice():
                      (GF2, ("x0*x1+x2^2",))]:
         nvars = 4 if len(texts) == 3 else 3
         ideal = Ideal.of([parse_poly(t, F, nvars) for t in texts])
-        a = hilbert(buchberger(ideal, GREVLEX))
-        b = hilbert(buchberger(ideal, LEX))
+        by_grevlex, by_lex = buchberger(ideal, GREVLEX), buchberger(ideal, LEX)
+        assert is_groebner(by_grevlex) and is_groebner(by_lex)
+        a, b = hilbert(by_grevlex), hilbert(by_lex)
         assert (a.dim, a.degree) == (b.dim, b.degree)
 
 
